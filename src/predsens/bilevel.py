@@ -16,31 +16,12 @@ from typing import Callable
 
 import numpy as np
 
-from .model import Array, Subsystem, SystemStack
+from .model import Array, Subsystem, SystemStack, finite_difference_jacobian
 from .sensitivity import _newton, solve_checked
 
 Vec = np.ndarray
 Grad = Callable[[Vec, Vec], Vec]
 Hess = Callable[[Vec, Vec], Array]
-
-
-def _fd_jacobian_wrt(fun, primary: Vec, other: Vec, wrt_first: bool, step: float = 1e-6) -> Array:
-    x = np.asarray(primary if wrt_first else other, dtype=float)
-    base = np.asarray(fun(primary, other), dtype=float).reshape(-1)
-    jac = np.empty((base.size, x.size))
-    for k in range(x.size):
-        h = step * (1.0 + abs(x[k]))
-        xp, xm = x.copy(), x.copy()
-        xp[k] += h
-        xm[k] -= h
-        if wrt_first:
-            fp = np.asarray(fun(xp, other), dtype=float).reshape(-1)
-            fm = np.asarray(fun(xm, other), dtype=float).reshape(-1)
-        else:
-            fp = np.asarray(fun(primary, xp), dtype=float).reshape(-1)
-            fm = np.asarray(fun(primary, xm), dtype=float).reshape(-1)
-        jac[:, k] = (fp - fm) / (2.0 * h)
-    return jac
 
 
 @dataclass(frozen=True)
@@ -64,12 +45,12 @@ class BilevelProblem:
     def hess22(self, x1: Vec, x2: Vec) -> Array:
         if self.hess_lower_x2x2 is not None:
             return np.atleast_2d(np.asarray(self.hess_lower_x2x2(x1, x2), dtype=float))
-        return _fd_jacobian_wrt(lambda a, b: self.grad_lower_x2(a, b), x1, x2, wrt_first=False)
+        return finite_difference_jacobian(lambda y: self.grad_lower_x2(x1, y), x2)
 
     def hess21(self, x1: Vec, x2: Vec) -> Array:
         if self.hess_lower_x2x1 is not None:
             return np.atleast_2d(np.asarray(self.hess_lower_x2x1(x1, x2), dtype=float))
-        return _fd_jacobian_wrt(lambda a, b: self.grad_lower_x2(a, b), x1, x2, wrt_first=True)
+        return finite_difference_jacobian(lambda y: self.grad_lower_x2(y, x2), x1)
 
 
 def _vec(v, size: int, name: str) -> Vec:
@@ -125,14 +106,7 @@ def reduced_hessian_fd(problem: BilevelProblem, x1, fd_step: float = 1e-4,
         x2 = lower_solve(problem, z, center, tol=inner_tol)
         return total_gradient(problem, z, x2)
 
-    hess = np.empty((problem.n1, problem.n1))
-    for k in range(problem.n1):
-        h = fd_step * (1.0 + abs(x1[k]))
-        zp, zm = x1.copy(), x1.copy()
-        zp[k] += h
-        zm[k] -= h
-        hess[:, k] = (total_on_manifold(zp) - total_on_manifold(zm)) / (2.0 * h)
-    return hess
+    return finite_difference_jacobian(total_on_manifold, x1, fd_step)
 
 
 class SolutionVerdict(str, Enum):

@@ -3,7 +3,9 @@
 Every conditioning is an invertible matrix M multiplying the stacked state
 derivative, ``M xdot = f(x)``. The conditioned field M^{-1} f is never
 formed by dense inversion; the unit-lower-triangular structure is exploited
-by forward substitution through the blocks.
+by forward substitution through the blocks. Each scheme differs only in its
+gains H_i and its sensitivity source, and :func:`compile_scheme` is the one
+place that maps a scheme to them.
 """
 
 from __future__ import annotations
@@ -82,45 +84,74 @@ Scheme = Union[Plain, SingularPerturbation, PredictiveSensitivity,
                Preconditioned, ApproximateSensitivity]
 
 
-def _check_epsilons(scheme: SingularPerturbation, n: int) -> None:
-    if len(scheme.epsilons) != n:
-        raise ValueError(
-            f"scheme has {len(scheme.epsilons)} epsilons for {n} subsystems")
+@dataclass(frozen=True)
+class Conditioner:
+    """A scheme compiled for one stack: M = diag(H_i)^{-1} L, where L is unit
+    lower triangular with off-diagonal blocks -S[i][j].
+
+    ``gains`` holds H_i per level (None: every H_i is the identity); a float
+    ``e`` stands for H_i = I / e and is applied by division, so singular
+    perturbation computes f_i / eps_i exactly as written. ``sens`` maps a
+    flat state to the blocks S[i][j] (None: L = I). ``exact`` marks ``sens``
+    as the exact :func:`total_derivative_table`.
+    """
+
+    gains: tuple | None
+    sens: Callable[[Array], Sequence[Sequence[Array | None]]] | None
+    exact: bool
+
+    def gain(self, i: int, v: Array) -> Array:
+        """H_i v."""
+        if self.gains is None:
+            return v
+        h = self.gains[i]
+        return v / h if isinstance(h, float) else h @ v
 
 
-def _gain_matrices(scheme: Preconditioned, dims: Sequence[int]) -> list[Array]:
-    if len(scheme.gains) != len(dims):
-        raise ValueError(f"scheme has {len(scheme.gains)} gains for {len(dims)} subsystems")
+def compile_scheme(stack: SystemStack, scheme: Scheme) -> Conditioner:
+    """Validate ``scheme`` against ``stack`` and compile it to a :class:`Conditioner`."""
+    n = len(stack)
+    if isinstance(scheme, Plain):
+        return Conditioner(None, None, False)
+    if isinstance(scheme, SingularPerturbation):
+        if len(scheme.epsilons) != n:
+            raise ValueError(f"scheme has {len(scheme.epsilons)} epsilons for {n} subsystems")
+        return Conditioner(scheme.epsilons, None, False)
+    if isinstance(scheme, ApproximateSensitivity):
+        return Conditioner(None, lambda x: scheme.provider(stack, x), False)
+
+    def exact(x: Array):
+        return total_derivative_table(stack, x).sens
+
+    if isinstance(scheme, PredictiveSensitivity):
+        return Conditioner(None, exact, True)
+    if not isinstance(scheme, Preconditioned):
+        raise TypeError(f"unknown scheme {scheme!r}")
+    if len(scheme.gains) != n:
+        raise ValueError(f"scheme has {len(scheme.gains)} gains for {n} subsystems")
     mats = []
-    for i, (g, d) in enumerate(zip(scheme.gains, dims)):
+    for i, (g, d) in enumerate(zip(scheme.gains, stack.dims)):
         arr = np.asarray(g, dtype=float)
         if arr.ndim == 0:
             if arr == 0.0:
                 raise ValueError(f"gain {i} must be invertible, got 0")
-            mats.append(float(arr) * np.eye(d))
+            arr = float(arr) * np.eye(d)
+        elif arr.shape != (d, d):
+            raise ValueError(f"gain {i} has shape {arr.shape}, expected ({d},{d})")
         else:
-            if arr.shape != (d, d):
-                raise ValueError(f"gain {i} has shape {arr.shape}, expected ({d},{d})")
             solve_checked(arr, np.eye(d), level=i)  # invertibility guard
-            mats.append(arr)
-    return mats
+        mats.append(arr)
+    return Conditioner(tuple(mats), exact, True)
 
 
-def _sens_blocks(stack: SystemStack, scheme: Scheme, x: Array) -> Sequence[Sequence[Array | None]]:
-    if isinstance(scheme, ApproximateSensitivity):
-        return scheme.provider(stack, x)
-    return total_derivative_table(stack, x).sens
-
-
-def _forward_substitute(stack: SystemStack, sens, gains: list[Array] | None,
-                        f_blocks: list[Array]) -> list[Array]:
+def _forward_substitute(cond: Conditioner, sens, blocks: list[Array]) -> list[Array]:
     xdot: list[Array] = []
-    for i in range(len(stack)):
-        v = f_blocks[i] if gains is None else gains[i] @ f_blocks[i]
-        for j in range(i):
-            s = sens[i][j]
-            if s is not None:
-                v = v + np.atleast_2d(np.asarray(s, dtype=float)) @ xdot[j]
+    for i, f in enumerate(blocks):
+        v = cond.gain(i, f)
+        if sens is not None:
+            for j in range(i):
+                if sens[i][j] is not None:
+                    v = v + np.atleast_2d(np.asarray(sens[i][j], dtype=float)) @ xdot[j]
         xdot.append(v)
     return xdot
 
@@ -128,21 +159,10 @@ def _forward_substitute(stack: SystemStack, sens, gains: list[Array] | None,
 def conditioned_field(stack: SystemStack, scheme: Scheme, point) -> Array:
     """Evaluate the conditioned derivative M^{-1} f at a point."""
     x = as_flat(stack, point)
+    cond = compile_scheme(stack, scheme)
     f_blocks = [stack.field_block(i, x) for i in range(len(stack))]
-    if isinstance(scheme, Plain):
-        out = np.concatenate(f_blocks)
-    elif isinstance(scheme, SingularPerturbation):
-        _check_epsilons(scheme, len(stack))
-        out = np.concatenate([f / e for f, e in zip(f_blocks, scheme.epsilons)])
-    elif isinstance(scheme, (PredictiveSensitivity, ApproximateSensitivity)):
-        sens = _sens_blocks(stack, scheme, x)
-        out = np.concatenate(_forward_substitute(stack, sens, None, f_blocks))
-    elif isinstance(scheme, Preconditioned):
-        gains = _gain_matrices(scheme, stack.dims)
-        sens = total_derivative_table(stack, x).sens
-        out = np.concatenate(_forward_substitute(stack, sens, gains, f_blocks))
-    else:
-        raise TypeError(f"unknown scheme {scheme!r}")
+    sens = None if cond.sens is None else cond.sens(x)
+    out = np.concatenate(_forward_substitute(cond, sens, f_blocks))
     if not np.all(np.isfinite(out)):
         raise EvaluationError(f"conditioned field is non-finite at {x!r}")
     return out
@@ -151,21 +171,20 @@ def conditioned_field(stack: SystemStack, scheme: Scheme, point) -> Array:
 def make_conditioned_field(stack: SystemStack, scheme: Scheme) -> Callable[[Array], Array]:
     """Closure over (stack, scheme) for tight integration loops.
 
-    When every subsystem declares ``constant_jacobian`` and the scheme uses
-    exact sensitivities (anything but :class:`ApproximateSensitivity`, whose
-    provider may vary with the state), M and the Jacobian are constant, so
-    the conditioned field is the affine map ``x -> A_c x + b_c``. It is
-    compiled here once, through :func:`conditioning_matrix` at the origin,
-    which is also where a singular diagonal block raises. Otherwise every
-    call evaluates :func:`conditioned_field` afresh.
+    When every subsystem declares ``constant_jacobian`` and the scheme's
+    sensitivities are exact or absent (an approximate provider may vary with
+    the state), M and the Jacobian are constant, so the conditioned field is
+    the affine map ``x -> A_c x + b_c``. It is compiled here once, through
+    :func:`conditioning_matrix` at the origin, which is also where a singular
+    diagonal block raises. Otherwise every call evaluates
+    :func:`conditioned_field` afresh.
     """
-    if (isinstance(scheme, ApproximateSensitivity)
+    cond = compile_scheme(stack, scheme)
+    if ((cond.sens is not None and not cond.exact)
             or not all(s.constant_jacobian for s in stack.subsystems)):
         return lambda x: conditioned_field(stack, scheme, x)
     origin = np.zeros(stack.total_dim)
-    _, apply_inverse = conditioning_matrix(stack, scheme, origin)
-    jac = np.block(jacobian_grid(stack, origin))
-    a_c = np.column_stack([apply_inverse(col) for col in jac.T])
+    a_c, apply_inverse = conditioned_jacobian(stack, scheme, origin)
     b_c = apply_inverse(stack.field(origin))
 
     def field(x: Array) -> Array:
@@ -185,52 +204,37 @@ def conditioning_matrix(stack: SystemStack, scheme: Scheme, point):
     ``apply_inverse(stack.field(x)) == conditioned_field(stack, scheme, x)``.
     """
     x = as_flat(stack, point)
-    n = len(stack)
-    dims = stack.dims
+    cond = compile_scheme(stack, scheme)
+    sens = None if cond.sens is None else cond.sens(x)
     off = stack.offsets
+    rows = [slice(off[i], off[i + 1]) for i in range(len(stack))]
     m = np.eye(stack.total_dim)
-
-    if isinstance(scheme, Plain):
-        return m, lambda v: np.asarray(v, dtype=float).copy()
-
-    if isinstance(scheme, SingularPerturbation):
-        _check_epsilons(scheme, n)
-        for i in range(n):
-            m[off[i]:off[i + 1], off[i]:off[i + 1]] *= scheme.epsilons[i]
-        eps = scheme.epsilons
-
-        def apply_inverse(v: Array) -> Array:
-            v = np.asarray(v, dtype=float)
-            return np.concatenate([v[off[i]:off[i + 1]] / eps[i] for i in range(n)])
-
-        return m, apply_inverse
-
-    if isinstance(scheme, (PredictiveSensitivity, ApproximateSensitivity)):
-        sens = _sens_blocks(stack, scheme, x)
-        gains = None
-    elif isinstance(scheme, Preconditioned):
-        sens = total_derivative_table(stack, x).sens
-        gains = _gain_matrices(scheme, dims)
-    else:
-        raise TypeError(f"unknown scheme {scheme!r}")
-
     # M = diag(H_i^{-1}) @ L with L unit lower triangular carrying -S blocks.
-    for i in range(n):
-        for j in range(i):
-            s = sens[i][j]
-            if s is not None:
-                m[off[i]:off[i + 1], off[j]:off[j + 1]] = -np.atleast_2d(np.asarray(s, dtype=float))
-    if gains is not None:
-        for i in range(n):
-            hinv = solve_checked(gains[i], np.eye(dims[i]), level=i)
-            m[off[i]:off[i + 1], :] = hinv @ m[off[i]:off[i + 1], :]
+    if sens is not None:
+        for i in range(len(stack)):
+            for j in range(i):
+                if sens[i][j] is not None:
+                    m[rows[i], rows[j]] = -np.atleast_2d(np.asarray(sens[i][j], dtype=float))
+    for i, h in enumerate(cond.gains or ()):
+        if isinstance(h, float):
+            m[rows[i], :] *= h
+        else:
+            m[rows[i], :] = solve_checked(h, np.eye(stack.dims[i]), level=i) @ m[rows[i], :]
 
     def apply_inverse(v: Array) -> Array:
         v = np.asarray(v, dtype=float)
-        blocks = [v[off[i]:off[i + 1]] for i in range(n)]
-        return np.concatenate(_forward_substitute(stack, sens, gains, blocks))
+        return np.concatenate(_forward_substitute(cond, sens, [v[r] for r in rows]))
 
     return m, apply_inverse
+
+
+def conditioned_jacobian(stack: SystemStack, scheme: Scheme, x: Array):
+    """M^{-1} grad f at ``x``, assembled column by column through
+    ``apply_inverse`` of :func:`conditioning_matrix`; returns it with
+    ``apply_inverse``."""
+    _, apply_inverse = conditioning_matrix(stack, scheme, x)
+    grad = np.block([[np.atleast_2d(b) for b in row] for row in jacobian_grid(stack, x)])
+    return np.column_stack([apply_inverse(col) for col in grad.T]), apply_inverse
 
 
 def discrete_step(stack: SystemStack, scheme: Scheme, point) -> Array:
@@ -251,10 +255,12 @@ def frozen_sensitivity_provider(stack: SystemStack, at_point) -> SensProvider:
 
 def noisy_sensitivity_provider(sigma: float, seed: int = 0) -> SensProvider:
     """Provider adding zero-mean Gaussian noise (scale ``sigma``) to the exact
-    sensitivities; deterministic for a fixed seed."""
-    rng = np.random.default_rng(seed)
+    sensitivities. The noise is drawn from a generator seeded by ``seed`` and
+    the bytes of the state, so the provider is a function of the state."""
 
     def provider(stack: SystemStack, x: Array):
+        x = np.asarray(x, dtype=float)
+        rng = np.random.default_rng([seed, *x.view(np.uint64).tolist()])
         sens = total_derivative_table(stack, x).sens
         out: list[list[Array | None]] = []
         for i, row in enumerate(sens):

@@ -13,7 +13,7 @@ import numpy as np
 
 from .conditioning import Scheme, make_conditioned_field
 from .errors import ConvergenceError, SingularMatrixError
-from .model import Array, StatePoint, SystemStack, as_flat
+from .model import Array, SystemStack, as_flat
 from .sensitivity import steady_state_solve
 
 DEFAULT_DIVERGENCE_THRESHOLD = 1e6
@@ -31,8 +31,9 @@ class IntegrationSettings:
             raise ValueError(f"method must be 'euler' or 'rk4', got {self.method!r}")
         if self.dt <= 0 or self.t_end <= 0:
             raise ValueError("dt and t_end must be positive")
-        if self.dt > self.t_end:
-            raise ValueError(f"dt={self.dt} exceeds t_end={self.t_end}")
+        steps = self.t_end / self.dt
+        if abs(steps - round(steps)) > 1e-9 * steps:
+            raise ValueError(f"t_end={self.t_end} is not a whole number of dt={self.dt} steps")
         if self.divergence_threshold <= 0:
             raise ValueError("divergence_threshold must be positive")
 
@@ -51,13 +52,6 @@ class Trajectory:
     dims: tuple[int, ...]
     diverged: bool = False
     diverged_at: float | None = None
-
-    def point_at(self, k: int) -> StatePoint:
-        return StatePoint.from_flat(self.dims, self.states[k])
-
-    def blocks_at(self, k: int) -> list[Array]:
-        cuts = np.concatenate([[0], np.cumsum(self.dims)]).astype(int)
-        return [self.states[k, cuts[i]:cuts[i + 1]] for i in range(len(self.dims))]
 
     @property
     def final_state(self) -> Array:

@@ -69,9 +69,6 @@ class SystemStack:
     def __len__(self) -> int:
         return len(self.subsystems)
 
-    def block(self, i: int, x: Array) -> Array:
-        return x[self.offsets[i]:self.offsets[i + 1]]
-
     def split(self, x: Array) -> list[Array]:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.total_dim,):

@@ -73,12 +73,6 @@ class SensitivityTable:
     total: list[list[Array]]
     sens: list[list[Array | None]]
 
-    def sens_block(self, i: int, j: int) -> Array:
-        blk = self.sens[i][j]
-        if blk is None:
-            raise IndexError(f"sensitivity requires j < i, got ({i},{j})")
-        return blk
-
 
 def total_derivative_table(stack: SystemStack, point, grid: list[list[Array]] | None = None,
                            fd_step: float = DEFAULT_FD_STEP) -> SensitivityTable:

@@ -13,12 +13,11 @@ from enum import Enum
 
 import numpy as np
 
-from .conditioning import (Preconditioned, PredictiveSensitivity, Scheme,
-                           _gain_matrices, conditioned_field, conditioning_matrix)
+from .conditioning import Scheme, compile_scheme, conditioned_field, conditioned_jacobian
 from .errors import ConvergenceError, NotSteadyStateError
 from .model import Array, SystemStack, as_flat, finite_difference_jacobian
-from .sensitivity import (SensitivityTable, jacobian_grid, steady_state_solve,
-                          reduced_field, total_derivative_table)
+from .sensitivity import (SensitivityTable, steady_state_solve, reduced_field,
+                          total_derivative_table)
 
 #: Verdicts stay Marginal while |max Re lambda| <= this.
 STABILITY_TOL = 1e-9
@@ -56,10 +55,6 @@ def match_eigenvalues(a, b) -> float:
     return worst
 
 
-def _dense_jacobian(grid: list[list[Array]]) -> Array:
-    return np.block([[np.atleast_2d(blk) for blk in row] for row in grid])
-
-
 def jacobian_at(stack: SystemStack, scheme: Scheme, point, method: str = "fd",
                 fd_step: float = 1e-6) -> Array:
     """Jacobian of the conditioned field at ``point``.
@@ -74,10 +69,7 @@ def jacobian_at(stack: SystemStack, scheme: Scheme, point, method: str = "fd",
         return finite_difference_jacobian(
             lambda y: conditioned_field(stack, scheme, y), x, fd_step)
     if method == "assembled":
-        grad = _dense_jacobian(jacobian_grid(stack, x))
-        _, apply_inverse = conditioning_matrix(stack, scheme, x)
-        cols = [apply_inverse(grad[:, k]) for k in range(grad.shape[1])]
-        return np.column_stack(cols)
+        return conditioned_jacobian(stack, scheme, x)[0]
     raise ValueError(f"method must be 'fd' or 'assembled', got {method!r}")
 
 
@@ -120,7 +112,7 @@ def block_triangular_form(stack: SystemStack, point, tol: float = 1e-8) -> Block
             t[off[i]:off[i + 1], off[j]:off[j + 1]] = table.sens[i][j]
         transforms.append(t)
         minv = minv @ t
-    grad = _dense_jacobian(table.partial)
+    grad = np.block([[np.atleast_2d(blk) for blk in row] for row in table.partial])
     a_tilde = grad @ minv
     diag = [table.total[i][i] for i in range(n)]
     gap = match_eigenvalues(eigenvalues(a_tilde),
@@ -160,8 +152,9 @@ def classify_local_stability(stack: SystemStack, scheme: Scheme, steady_point,
                              tol: float = 1e-8) -> StabilityReport:
     """Eigenvalue verdict for the conditioned system at an equilibrium.
 
-    For the sensitivity-based conditionings the report also carries the
-    per-level reduced-block eigenvalues, which must agree with the full
+    For the conditionings with exact sensitivities (predictive sensitivity
+    and preconditioned) the report also carries the eigenvalues of the
+    per-level blocks H_i D[i][i], which must agree with the full
     spectrum as a multiset (checked to 1e-6).
     """
     x = as_flat(stack, steady_point)
@@ -181,17 +174,10 @@ def classify_local_stability(stack: SystemStack, scheme: Scheme, steady_point,
 
     block_lams = None
     gap = None
-    if isinstance(scheme, (PredictiveSensitivity, Preconditioned)):
+    cond = compile_scheme(stack, scheme)
+    if cond.exact:
         table = total_derivative_table(stack, x)
-        gains = None
-        if isinstance(scheme, Preconditioned):
-            gains = _gain_matrices(scheme, stack.dims)
-        block_lams = []
-        for i in range(len(stack)):
-            blk = table.total[i][i]
-            if gains is not None:
-                blk = gains[i] @ blk
-            block_lams.append(_sorted_eigs(blk))
+        block_lams = [_sorted_eigs(cond.gain(i, table.total[i][i])) for i in range(len(stack))]
         union = np.concatenate(block_lams)
         gap = match_eigenvalues(lams, union)
         # Repeated eigenvalues can be defective; QR then locates them only to

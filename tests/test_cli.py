@@ -140,6 +140,10 @@ def test_config_errors_exit_2(tmp_path):
     assert run(["bilevel", "--method", "gda", "--out", str(tmp_path)]) == EXIT_CONFIG
     assert run(["bilevel", "--example", "other", "--out", str(tmp_path)]) == EXIT_CONFIG
     assert run(["simulate", "--no-such-flag"]) == EXIT_CONFIG
+    # t_end = 1 is not a whole number of 0.4 steps
+    assert run(["simulate", "--stack", "r2", "--scheme", "predsens", "--dt", "0.4",
+                "--t-end", "1", "--out", str(tmp_path / "short")]) == EXIT_CONFIG
+    assert not (tmp_path / "short").exists()
 
 
 def test_numerical_errors_exit_3(tmp_path):

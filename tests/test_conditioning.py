@@ -146,6 +146,27 @@ def test_noisy_provider_is_deterministic(r2_stack):
         a[1][0], ps.total_derivative_table(r2_stack, np.zeros(2)).sens[1][0])
 
 
+def test_singular_matrix_gain_raises_everywhere(r2_stack):
+    scheme = ps.Preconditioned([np.zeros((1, 1)), 1.0])
+    with pytest.raises(ps.SingularMatrixError):
+        ps.conditioned_field(r2_stack, scheme, [0.0, 0.0])
+    with pytest.raises(ps.SingularMatrixError):
+        ps.conditioning_matrix(r2_stack, scheme, [0.0, 0.0])
+    with pytest.raises(ps.SingularMatrixError):
+        ps.classify_local_stability(r2_stack, scheme, [0.0, 0.0])
+
+
+def test_noisy_provider_is_a_function_of_the_state(r2_stack):
+    scheme = ps.ApproximateSensitivity(ps.noisy_sensitivity_provider(0.1, seed=3))
+    x = np.array([0.3, 0.1])
+    first = ps.conditioned_field(r2_stack, scheme, x)
+    assert np.array_equal(first, ps.conditioned_field(r2_stack, scheme, x.copy()))
+    assert not np.array_equal(first, ps.conditioned_field(r2_stack, ps.PredictiveSensitivity(), x))
+    # the same state under another seed draws other noise
+    other = ps.ApproximateSensitivity(ps.noisy_sensitivity_provider(0.1, seed=4))
+    assert not np.array_equal(first, ps.conditioned_field(r2_stack, other, x))
+
+
 @pytest.mark.parametrize("name", ["r2", "tracking", "linear3", "cascade", "rlc"])
 def test_compiled_affine_field_matches_per_call_field(name):
     """The once-compiled x -> A_c x + b_c equals conditioned_field to 1e-12

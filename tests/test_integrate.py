@@ -130,6 +130,29 @@ def test_settings_validation():
                          ps.IntegrationSettings("rk4", 0.1, 1.0))
 
 
+def test_settings_reject_a_grid_that_misses_t_end():
+    with pytest.raises(ValueError, match="whole number"):
+        ps.IntegrationSettings("rk4", 0.4, 1.0)
+    with pytest.raises(ValueError, match="whole number"):
+        ps.IntegrationSettings("euler", 0.3, 1.0)
+    # grids that are whole up to rounding are accepted and reach t_end
+    for dt, t_end in ((1e-5, 0.2), (1e-4, 3.5), (0.04, 10.0), (0.1, 0.3)):
+        ps.IntegrationSettings("rk4", dt, t_end)
+    traj = ps.integrate_ode(registry.get_stack("r2"), ps.Plain(), [1.0, 0.0],
+                            ps.IntegrationSettings("rk4", 0.1, 0.3))
+    assert traj.times.size == 4 and abs(traj.times[-1] - 0.3) <= 1e-12
+
+
+def test_noisy_provider_runs_repeat(r2_stack):
+    """One scheme object integrated twice gives the same trajectory: the
+    noise depends on the state only, not on how often it was drawn."""
+    scheme = ps.ApproximateSensitivity(ps.noisy_sensitivity_provider(0.1, seed=7))
+    settings = ps.IntegrationSettings("rk4", 0.01, 1.0)
+    a = ps.integrate_ode(r2_stack, scheme, [1.0, -0.5], settings)
+    b = ps.integrate_ode(r2_stack, scheme, [1.0, -0.5], settings)
+    assert np.array_equal(a.states, b.states)
+
+
 def test_scheme_failure_carries_failing_time():
     # fast diagonal block degenerates once the constant field drags x2 low
     def jac_fast(x):

@@ -127,6 +127,27 @@ def test_classify_r2_predictive_block_spectrum(r2_stack):
                                 [-1.0, -0.5]) <= 1e-12
 
 
+@pytest.mark.parametrize("scheme, has_blocks", [
+    (ps.Plain(), False),
+    (ps.SingularPerturbation([1.0, 0.3]), False),
+    (ps.PredictiveSensitivity(), True),
+    (ps.Preconditioned([2.0, 3.0]), True),
+    (ps.ApproximateSensitivity(lambda stack, x: [[None, None], [np.array([[0.5]]), None]]),
+     False),
+], ids=["plain", "singular", "predsens", "precond", "approx"])
+def test_block_spectra_only_for_exact_sensitivities(r2_stack, scheme, has_blocks):
+    """Block eigenvalues are reported exactly when the scheme's sensitivities
+    are the exact table; they are then those of H_i D[i][i]."""
+    report = ps.classify_local_stability(r2_stack, scheme, [0.0, 0.0])
+    if not has_blocks:
+        assert report.block_eigenvalues is None and report.block_spectrum_gap is None
+        return
+    gains = getattr(scheme, "gains", (1.0, 1.0))
+    expected = [-1.0 * gains[0], -0.5 * gains[1]]
+    assert ps.match_eigenvalues(np.concatenate(report.block_eigenvalues), expected) <= 1e-12
+    assert report.block_spectrum_gap <= 1e-9
+
+
 def test_classify_requires_steady_point(r2_stack):
     with pytest.raises(ps.NotSteadyStateError):
         ps.classify_local_stability(r2_stack, ps.Plain(), [0.5, 0.0])
