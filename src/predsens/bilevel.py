@@ -16,12 +16,16 @@ from typing import Callable
 
 import numpy as np
 
-from .model import Array, Subsystem, SystemStack, finite_difference_jacobian
-from .sensitivity import _newton, solve_checked
+from .errors import SingularMatrixError
+from .model import Array, Subsystem, SystemStack, finite_difference_jacobian, write_csv
+from .sensitivity import STEADY_STATE_TOL, _newton, solve_checked
 
 Vec = np.ndarray
 Grad = Callable[[Vec, Vec], Vec]
 Hess = Callable[[Vec, Vec], Array]
+
+#: Central-difference step of :func:`reduced_hessian_fd`, scaled by (1 + |x1_k|).
+REDUCED_HESSIAN_FD_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -77,36 +81,34 @@ def total_gradient(problem: BilevelProblem, x1, x2) -> Vec:
     return g1 + s.T @ g2
 
 
-def lower_solve(problem: BilevelProblem, x1, guess, tol: float = 1e-12,
-                max_iter: int = 100) -> Vec:
+def lower_solve(problem: BilevelProblem, x1, guess) -> Vec:
     """Newton solve of grad2 F2(x1, .) = 0 from ``guess``."""
     x1 = _vec(x1, problem.n1, "x1")
     g = _vec(guess, problem.n2, "guess")
     return _newton(
         lambda y: np.asarray(problem.grad_lower_x2(x1, y), dtype=float).reshape(-1),
         lambda y: problem.hess22(x1, y),
-        g, tol, max_iter, what="lower-level solve")
+        g, what="lower-level solve")
 
 
-def reduced_hessian_fd(problem: BilevelProblem, x1, fd_step: float = 1e-4,
-                       inner_tol: float = 1e-12, x2_guess=None) -> Array:
+def reduced_hessian_fd(problem: BilevelProblem, x1, x2_guess=None) -> Array:
     """Second total derivative of the upper objective by central differences.
 
     Differentiates x1 -> D(x1, x2*(x1)) with the lower level re-solved by
     Newton at each probe; matches the third-derivative expansion to
-    O(fd_step^2) while staying independently checkable.
+    O(REDUCED_HESSIAN_FD_STEP^2) while staying independently checkable.
     """
     x1 = _vec(x1, problem.n1, "x1")
     guess = x1.copy() if x2_guess is None else _vec(x2_guess, problem.n2, "x2_guess")
     if guess.size != problem.n2:
         guess = np.zeros(problem.n2)
-    center = lower_solve(problem, x1, guess, tol=inner_tol)
+    center = lower_solve(problem, x1, guess)
 
     def total_on_manifold(z: Vec) -> Vec:
-        x2 = lower_solve(problem, z, center, tol=inner_tol)
+        x2 = lower_solve(problem, z, center)
         return total_gradient(problem, z, x2)
 
-    return finite_difference_jacobian(total_on_manifold, x1, fd_step)
+    return finite_difference_jacobian(total_on_manifold, x1, REDUCED_HESSIAN_FD_STEP)
 
 
 class SolutionVerdict(str, Enum):
@@ -123,13 +125,14 @@ class PointClassification:
     verdict: SolutionVerdict
 
 
-def classify_point(problem: BilevelProblem, x1, x2, tol: float = 1e-8) -> PointClassification:
+def classify_point(problem: BilevelProblem, x1, x2) -> PointClassification:
     """First- and second-order test of a candidate bilevel solution.
 
     Stationarity needs both the lower gradient and the total derivative to
-    vanish; sufficiency additionally needs the lower Hessian and the reduced
-    Hessian positive definite (min eigenvalue > tol).
+    vanish (norms <= STEADY_STATE_TOL); sufficiency additionally needs the
+    lower and the reduced Hessian positive definite (min eigenvalue above it).
     """
+    tol = STEADY_STATE_TOL
     x1 = _vec(x1, problem.n1, "x1")
     x2 = _vec(x2, problem.n2, "x2")
     g2 = np.asarray(problem.grad_lower_x2(x1, x2), dtype=float).reshape(-1)
@@ -163,13 +166,8 @@ class IterateLog:
         cols += ["x1" if self.n1 == 1 else f"x1_{k}" for k in range(self.n1)]
         cols += ["x2" if self.n2 == 1 else f"x2_{k}" for k in range(self.n2)]
         cols.append("residual")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(cols) + "\n")
-            for k in range(self.iterates.shape[0]):
-                row = [str(k)]
-                row += [format(v, ".17g") for v in self.iterates[k]]
-                row.append(format(self.residuals[k], ".17g"))
-                fh.write(",".join(row) + "\n")
+        write_csv(path, ",".join(cols),
+                  [np.arange(self.iterates.shape[0]), self.iterates, self.residuals])
 
 
 DIVERGENCE_CAP = 1e6
@@ -183,6 +181,9 @@ def solve_discrete(problem: BilevelProblem, method: str, tau: float, x0,
     ``method="ps"`` feeds the upper update forward through the sensitivity;
     ``method="gda"`` scales the lower step by 1/eps instead (the descent
     analogue of the singular-perturbation conditioning).
+
+    Leaving ``DIVERGENCE_CAP``, or reaching a singular lower Hessian (kept
+    with a NaN residual), ends the run as diverged; one at ``x0`` raises.
     """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
@@ -216,7 +217,10 @@ def solve_discrete(problem: BilevelProblem, method: str, tau: float, x0,
         x1 = x1 + step1
         x2 = x2 + step2
         used = k + 1
-        d = total_gradient(problem, x1, x2)
+        try:
+            d = total_gradient(problem, x1, x2)
+        except SingularMatrixError:  # run-off: the lower Hessian vanished
+            d = np.full(problem.n1, np.nan)
         g2 = np.asarray(problem.grad_lower_x2(x1, x2), dtype=float).reshape(-1)
         residuals.append(float(np.hypot(np.linalg.norm(d), np.linalg.norm(g2))))
         iterates.append(np.concatenate([x1, x2]))

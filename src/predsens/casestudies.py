@@ -15,7 +15,7 @@ import numpy as np
 from .bilevel import BilevelProblem
 from .conditioning import Scheme
 from .integrate import IntegrationSettings, Trajectory, integrate_ode
-from .model import Array, Subsystem, SystemStack
+from .model import Array, Subsystem, SystemStack, write_csv
 
 # Rotation by +90 degrees; multiplies a rectangular-coordinate phasor by j.
 ROT90 = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -217,6 +217,7 @@ def rlc_equilibrium(params: RlcParams) -> Array:
 
 V_BASE = 120.0  # volts per unit
 DIVERGENCE_PU = 10.0
+SETTLE_BAND_PU = 0.01  # |v| has settled once it stays within 1 % of 1 p.u.
 
 
 @dataclass
@@ -246,8 +247,7 @@ def default_black_start_settings() -> IntegrationSettings:
     return IntegrationSettings(method="rk4", dt=1e-5, t_end=0.2)
 
 
-def black_start_metrics(params: RlcParams, trajectory: Trajectory,
-                        settle_band: float = 0.01) -> BlackStartMetrics:
+def black_start_metrics(params: RlcParams, trajectory: Trajectory) -> BlackStartMetrics:
     """Magnitude, frequency, overshoot, and settling read from a trajectory.
 
     The instantaneous frequency is omega / 2 pi plus the central-difference
@@ -274,7 +274,7 @@ def black_start_metrics(params: RlcParams, trajectory: Trajectory,
     overshoot = float(np.max(mag_pu)) - 1.0
     settling = None
     if stable:
-        outside = np.flatnonzero(np.abs(mag_pu - 1.0) > settle_band)
+        outside = np.flatnonzero(np.abs(mag_pu - 1.0) > SETTLE_BAND_PU)
         if outside.size == 0:
             settling = float(t[0])
         elif outside[-1] + 1 < t.size:
@@ -303,12 +303,9 @@ BLACK_START_CSV_HEADER = ("t,v_re,v_im,zeta_v_re,zeta_v_im,"
 
 
 def write_black_start_csv(path, trajectory: Trajectory, metrics: BlackStartMetrics) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(BLACK_START_CSV_HEADER + "\n")
-        for k in range(trajectory.times.size):
-            row = [trajectory.times[k], *trajectory.states[k],
-                   metrics.voltage_magnitude_pu[k], metrics.frequency_hz[k]]
-            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+    write_csv(path, BLACK_START_CSV_HEADER,
+              [trajectory.times, trajectory.states,
+               metrics.voltage_magnitude_pu, metrics.frequency_hz])
 
 
 def bilevel_example_problem() -> BilevelProblem:

@@ -22,7 +22,7 @@ from .conditioning import (ApproximateSensitivity, Plain, Preconditioned,
 from .errors import (ConvergenceError, EvaluationError, NotSteadyStateError,
                      SingularMatrixError, StackDefinitionError)
 from .integrate import IntegrationSettings, Trajectory, integrate_ode
-from .model import SystemStack, linear_stack
+from .model import SystemStack, linear_stack, write_csv
 from .stability import classify_local_stability, eigenvalues
 
 EXIT_OK = 0
@@ -36,10 +36,6 @@ NUMERICAL_ERRORS = (SingularMatrixError, ConvergenceError, EvaluationError,
 
 class ConfigError(ValueError):
     pass
-
-
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
 
 
 def _floats(text: str, what: str) -> list[float]:
@@ -132,11 +128,8 @@ def _state_columns(stack: SystemStack) -> list[str]:
 
 
 def write_trajectory_csv(path, stack: SystemStack, trajectory: Trajectory) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(["t"] + _state_columns(stack)) + "\n")
-        for k in range(trajectory.times.size):
-            row = [trajectory.times[k], *trajectory.states[k]]
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    write_csv(path, ",".join(["t"] + _state_columns(stack)),
+              [trajectory.times, trajectory.states])
 
 
 def _write_json(path, data: dict) -> None:
@@ -227,8 +220,6 @@ def _cmd_rlc(args) -> int:
 
 
 def _cmd_bilevel(args) -> int:
-    if args.example != "scaled":
-        raise ConfigError(f"unknown example {args.example!r}; available: scaled")
     problem = casestudies.bilevel_example_problem()
     x0 = np.asarray(_floats(args.x0, "--x0"), dtype=float)
     if args.method == "gda" and args.eps is None:
@@ -293,8 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=".")
     p.set_defaults(func=_cmd_rlc)
 
-    p = sub.add_parser("bilevel", help="discrete bilevel descent")
-    p.add_argument("--example", default="scaled")
+    p = sub.add_parser("bilevel", help="discrete bilevel descent of the bundled example")
     p.add_argument("--method", default="ps", choices=("ps", "gda"))
     p.add_argument("--eps", type=float, default=None)
     p.add_argument("--tau", type=float, default=0.25)

@@ -108,9 +108,12 @@ class Conditioner:
         return v / h if isinstance(h, float) else h @ v
 
 
-def compile_scheme(stack: SystemStack, scheme: Scheme) -> Conditioner:
-    """Validate ``scheme`` against ``stack`` and compile it to a :class:`Conditioner`."""
+def compile_scheme(stack: SystemStack, scheme: Scheme | Conditioner) -> Conditioner:
+    """Validate ``scheme`` against ``stack`` and compile it to a :class:`Conditioner`;
+    a Conditioner is returned unchanged, so a caller can compile once and pass it on."""
     n = len(stack)
+    if isinstance(scheme, Conditioner):
+        return scheme
     if isinstance(scheme, Plain):
         return Conditioner(None, None, False)
     if isinstance(scheme, SingularPerturbation):
@@ -156,7 +159,7 @@ def _forward_substitute(cond: Conditioner, sens, blocks: list[Array]) -> list[Ar
     return xdot
 
 
-def conditioned_field(stack: SystemStack, scheme: Scheme, point) -> Array:
+def conditioned_field(stack: SystemStack, scheme: Scheme | Conditioner, point) -> Array:
     """Evaluate the conditioned derivative M^{-1} f at a point."""
     x = as_flat(stack, point)
     cond = compile_scheme(stack, scheme)
@@ -177,14 +180,14 @@ def make_conditioned_field(stack: SystemStack, scheme: Scheme) -> Callable[[Arra
     the affine map ``x -> A_c x + b_c``. It is compiled here once, through
     :func:`conditioning_matrix` at the origin, which is also where a singular
     diagonal block raises. Otherwise every call evaluates
-    :func:`conditioned_field` afresh.
+    :func:`conditioned_field` afresh on the scheme compiled here once.
     """
     cond = compile_scheme(stack, scheme)
     if ((cond.sens is not None and not cond.exact)
             or not all(s.constant_jacobian for s in stack.subsystems)):
-        return lambda x: conditioned_field(stack, scheme, x)
+        return lambda x: conditioned_field(stack, cond, x)
     origin = np.zeros(stack.total_dim)
-    a_c, apply_inverse = conditioned_jacobian(stack, scheme, origin)
+    a_c, apply_inverse = conditioned_jacobian(stack, cond, origin)
     b_c = apply_inverse(stack.field(origin))
 
     def field(x: Array) -> Array:
@@ -196,7 +199,7 @@ def make_conditioned_field(stack: SystemStack, scheme: Scheme) -> Callable[[Arra
     return field
 
 
-def conditioning_matrix(stack: SystemStack, scheme: Scheme, point):
+def conditioning_matrix(stack: SystemStack, scheme: Scheme | Conditioner, point):
     """Dense conditioning matrix M at a point, plus its inverse action.
 
     Returns ``(M, apply_inverse)`` where ``apply_inverse(v)`` computes
@@ -228,7 +231,7 @@ def conditioning_matrix(stack: SystemStack, scheme: Scheme, point):
     return m, apply_inverse
 
 
-def conditioned_jacobian(stack: SystemStack, scheme: Scheme, x: Array):
+def conditioned_jacobian(stack: SystemStack, scheme: Scheme | Conditioner, x: Array):
     """M^{-1} grad f at ``x``, assembled column by column through
     ``apply_inverse`` of :func:`conditioning_matrix`; returns it with
     ``apply_inverse``."""

@@ -114,8 +114,7 @@ def integrate_ode(stack: SystemStack, scheme: Scheme, x0,
                       dims=stack.dims, diverged=diverged, diverged_at=diverged_at)
 
 
-def manifold_error(stack: SystemStack, trajectory: Trajectory, level: int,
-                   tol: float = 1e-12) -> Array:
+def manifold_error(stack: SystemStack, trajectory: Trajectory, level: int) -> Array:
     """Distance of each level >= ``level`` from its steady-state map.
 
     Returns an array of shape (samples, N - level); column c holds
@@ -134,7 +133,7 @@ def manifold_error(stack: SystemStack, trajectory: Trajectory, level: int,
         for c, i in enumerate(range(level, n)):
             guess = warm[c] if warm[c] is not None else np.concatenate(blocks[i:])
             try:
-                solved = steady_state_solve(stack, i, blocks[:i], guess, tol=tol)
+                solved = steady_state_solve(stack, i, blocks[:i], guess)
             except (SingularMatrixError, ConvergenceError):
                 warm[c] = None
                 continue

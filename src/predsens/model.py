@@ -176,6 +176,13 @@ def finite_difference_jacobian(field: FieldFn, point, step: float = DEFAULT_FD_S
     return jac
 
 
+def write_csv(path, header: str, columns: Sequence[Array]) -> None:
+    """Write ``columns`` (1-D arrays, or 2-D blocks of columns) side by side
+    under a ``header`` line, every value in round-trip ``.17g`` form."""
+    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",",
+               header=header, comments="")
+
+
 @dataclass(frozen=True)
 class StackReport:
     """Outcome of :func:`validate_stack`."""

@@ -30,6 +30,9 @@ CONDITION_LIMIT = 1e12
 NEWTON_MAX_ITER = 100
 NEWTON_TOL = 1e-12
 
+#: A point counts as a steady state while norm(f) stays within this.
+STEADY_STATE_TOL = 1e-8
+
 
 def solve_checked(a: Array, b: Array, level: int | None = None) -> Array:
     """LU solve with a singularity guard based on the condition estimate."""
@@ -44,19 +47,19 @@ def solve_checked(a: Array, b: Array, level: int | None = None) -> Array:
     return np.linalg.solve(a, b)
 
 
-def jacobian_row(stack: SystemStack, i: int, x: Array, fd_step: float = DEFAULT_FD_STEP) -> list[Array]:
+def jacobian_row(stack: SystemStack, i: int, x: Array) -> list[Array]:
     """Partial blocks of f_i with respect to every state block."""
     sub = stack.subsystems[i]
     if sub.jacobian is not None:
         return [np.atleast_2d(np.asarray(b, dtype=float)) for b in sub.jacobian(x)]
-    full = finite_difference_jacobian(lambda y: stack.field_block(i, y), x, fd_step)
+    full = finite_difference_jacobian(lambda y: stack.field_block(i, y), x, DEFAULT_FD_STEP)
     return [full[:, stack.offsets[j]:stack.offsets[j + 1]] for j in range(len(stack))]
 
 
-def jacobian_grid(stack: SystemStack, point, fd_step: float = DEFAULT_FD_STEP) -> list[list[Array]]:
+def jacobian_grid(stack: SystemStack, point) -> list[list[Array]]:
     """All partial blocks ``grid[i][j]`` at a point, analytic where available."""
     x = as_flat(stack, point)
-    return [jacobian_row(stack, i, x, fd_step) for i in range(len(stack))]
+    return [jacobian_row(stack, i, x) for i in range(len(stack))]
 
 
 @dataclass
@@ -74,8 +77,7 @@ class SensitivityTable:
     sens: list[list[Array | None]]
 
 
-def total_derivative_table(stack: SystemStack, point, grid: list[list[Array]] | None = None,
-                           fd_step: float = DEFAULT_FD_STEP) -> SensitivityTable:
+def total_derivative_table(stack: SystemStack, point) -> SensitivityTable:
     """Run the fast-to-slow elimination recursion at ``point``.
 
     Requires every diagonal total-derivative block D[i][i] for i >= 1 to be
@@ -83,8 +85,7 @@ def total_derivative_table(stack: SystemStack, point, grid: list[list[Array]] | 
     level.
     """
     x = as_flat(stack, point)
-    if grid is None:
-        grid = jacobian_grid(stack, x, fd_step)
+    grid = jacobian_grid(stack, x)
     n = len(stack)
     total: list[list[Array | None]] = [[None] * n for _ in range(n)]
     sens: list[list[Array | None]] = [[None] * n for _ in range(n)]
@@ -101,14 +102,13 @@ def total_derivative_table(stack: SystemStack, point, grid: list[list[Array]] | 
                             total=total, sens=sens)  # type: ignore[arg-type]
 
 
-def _newton(residual, jacobian, y0: Array, tol: float, max_iter: int,
-            what: str) -> Array:
-    """Damped Newton iteration with step halving on residual increase."""
+def _newton(residual, jacobian, y0: Array, what: str) -> Array:
+    """Damped Newton iteration (step halving on residual increase) to NEWTON_TOL."""
     y = np.array(y0, dtype=float)
     r = residual(y)
     rn = float(np.linalg.norm(r))
-    for it in range(max_iter):
-        if rn <= tol:
+    for it in range(NEWTON_MAX_ITER):
+        if rn <= NEWTON_TOL:
             return y
         step = solve_checked(jacobian(y), -r)
         alpha = 1.0
@@ -124,16 +124,14 @@ def _newton(residual, jacobian, y0: Array, tol: float, max_iter: int,
                 f"{what}: damping stalled at residual {rn:.3e}",
                 residual=rn, iterations=it)
         y, r, rn = cand, rc, rcn
-    if rn <= tol:
+    if rn <= NEWTON_TOL:
         return y
     raise ConvergenceError(
-        f"{what}: no convergence within {max_iter} iterations "
-        f"(last residual {rn:.3e})", residual=rn, iterations=max_iter)
+        f"{what}: no convergence within {NEWTON_MAX_ITER} iterations "
+        f"(last residual {rn:.3e})", residual=rn, iterations=NEWTON_MAX_ITER)
 
 
-def steady_state_solve(stack: SystemStack, level: int, upstream, guess,
-                       tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAX_ITER,
-                       fd_step: float = DEFAULT_FD_STEP) -> list[Array]:
+def steady_state_solve(stack: SystemStack, level: int, upstream, guess) -> list[Array]:
     """Solve f_j = 0 jointly for all levels j >= ``level``.
 
     ``upstream`` holds the fixed blocks x_0 .. x_{level-1}; ``guess`` the
@@ -170,17 +168,16 @@ def steady_state_solve(stack: SystemStack, level: int, upstream, guess,
         x = compose(y)
         rows = []
         for j in range(level, n):
-            row = jacobian_row(stack, j, x, fd_step)
+            row = jacobian_row(stack, j, x)
             rows.append(np.hstack(row[level:]))
         return np.vstack(rows)
 
-    y = _newton(residual, jac, g, tol, max_iter, what=f"steady state from level {level}")
+    y = _newton(residual, jac, g, what=f"steady state from level {level}")
     cuts = np.concatenate([[0], np.cumsum(tail_dims)]).astype(int)
     return [y[cuts[k]:cuts[k + 1]] for k in range(len(tail_dims))]
 
 
-def reduced_field(stack: SystemStack, level: int, partial_point, guess,
-                  tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAX_ITER) -> Array:
+def reduced_field(stack: SystemStack, level: int, partial_point, guess) -> Array:
     """f_level evaluated with all faster blocks at their steady states.
 
     ``partial_point`` holds blocks x_0 .. x_level.
@@ -191,6 +188,6 @@ def reduced_field(stack: SystemStack, level: int, partial_point, guess,
         raise ValueError(f"expected {level + 1} blocks, got {len(blocks)}")
     if level == n - 1:
         return stack.field_block(level, np.concatenate(blocks))
-    solved = steady_state_solve(stack, level + 1, blocks, guess, tol=tol, max_iter=max_iter)
+    solved = steady_state_solve(stack, level + 1, blocks, guess)
     x = np.concatenate(blocks + solved)
     return stack.field_block(level, x)

@@ -13,14 +13,18 @@ from enum import Enum
 
 import numpy as np
 
-from .conditioning import Scheme, compile_scheme, conditioned_field, conditioned_jacobian
+from .conditioning import (Conditioner, Scheme, compile_scheme, conditioned_field,
+                           conditioned_jacobian)
 from .errors import ConvergenceError, NotSteadyStateError
-from .model import Array, SystemStack, as_flat, finite_difference_jacobian
-from .sensitivity import (SensitivityTable, steady_state_solve, reduced_field,
-                          total_derivative_table)
+from .model import DEFAULT_FD_STEP, Array, SystemStack, as_flat, finite_difference_jacobian
+from .sensitivity import (STEADY_STATE_TOL, SensitivityTable, steady_state_solve,
+                          reduced_field, total_derivative_table)
 
 #: Verdicts stay Marginal while |max Re lambda| <= this.
 STABILITY_TOL = 1e-9
+
+#: Contraction holds at a point while max eig(P D + D^T P + Q) <= this.
+CONTRACTION_RESIDUAL_TOL = 1e-10
 
 
 class Verdict(str, Enum):
@@ -55,21 +59,22 @@ def match_eigenvalues(a, b) -> float:
     return worst
 
 
-def jacobian_at(stack: SystemStack, scheme: Scheme, point, method: str = "fd",
-                fd_step: float = 1e-6) -> Array:
+def jacobian_at(stack: SystemStack, scheme: Scheme | Conditioner, point,
+                method: str = "fd") -> Array:
     """Jacobian of the conditioned field at ``point``.
 
     ``method="fd"`` differentiates the conditioned field directly and is
     valid anywhere. ``method="assembled"`` forms M^{-1} grad f from the
     conditioning matrix; the two agree at steady states (and everywhere for
-    conditionings with state-independent M).
+    conditionings with state-independent M). The scheme is compiled once.
     """
     x = as_flat(stack, point)
+    cond = compile_scheme(stack, scheme)
     if method == "fd":
         return finite_difference_jacobian(
-            lambda y: conditioned_field(stack, scheme, y), x, fd_step)
+            lambda y: conditioned_field(stack, cond, y), x, DEFAULT_FD_STEP)
     if method == "assembled":
-        return conditioned_jacobian(stack, scheme, x)[0]
+        return conditioned_jacobian(stack, cond, x)[0]
     raise ValueError(f"method must be 'fd' or 'assembled', got {method!r}")
 
 
@@ -89,18 +94,18 @@ class BlockTriangularForm:
     similarity_gap: float
 
 
-def block_triangular_form(stack: SystemStack, point, tol: float = 1e-8) -> BlockTriangularForm:
+def block_triangular_form(stack: SystemStack, point) -> BlockTriangularForm:
     """Triangularize the conditioned Jacobian at a steady state.
 
-    Requires ``norm(f(point)) <= tol``. The returned matrix has the blocks
-    D[i][i] on its diagonal, which at a steady state equal the Jacobians of
-    the reduced-order fields.
+    Requires ``norm(f(point)) <= STEADY_STATE_TOL``. The returned matrix has
+    the blocks D[i][i] on its diagonal, which at a steady state equal the
+    Jacobians of the reduced-order fields.
     """
     x = as_flat(stack, point)
     fnorm = float(np.linalg.norm(stack.field(x)))
-    if fnorm > tol:
+    if fnorm > STEADY_STATE_TOL:
         raise NotSteadyStateError(
-            f"point is not a steady state (residual {fnorm:.3e} > {tol:.1e})")
+            f"point is not a steady state (residual {fnorm:.3e} > {STEADY_STATE_TOL:.1e})")
     table = total_derivative_table(stack, x)
     n = len(stack)
     off = stack.offsets
@@ -149,7 +154,7 @@ def _sorted_eigs(a: Array) -> Array:
 
 
 def classify_local_stability(stack: SystemStack, scheme: Scheme, steady_point,
-                             tol: float = 1e-8) -> StabilityReport:
+                             tol: float = STEADY_STATE_TOL) -> StabilityReport:
     """Eigenvalue verdict for the conditioned system at an equilibrium.
 
     For the conditionings with exact sensitivities (predictive sensitivity
@@ -162,7 +167,8 @@ def classify_local_stability(stack: SystemStack, scheme: Scheme, steady_point,
     if fnorm > tol:
         raise NotSteadyStateError(
             f"point is not a steady state (residual {fnorm:.3e} > {tol:.1e})")
-    jac = jacobian_at(stack, scheme, x, method="assembled")
+    cond = compile_scheme(stack, scheme)
+    jac = jacobian_at(stack, cond, x, method="assembled")
     lams = _sorted_eigs(jac)
     abscissa = float(np.max(lams.real))
     if abscissa < -STABILITY_TOL:
@@ -174,7 +180,6 @@ def classify_local_stability(stack: SystemStack, scheme: Scheme, steady_point,
 
     block_lams = None
     gap = None
-    cond = compile_scheme(stack, scheme)
     if cond.exact:
         table = total_derivative_table(stack, x)
         block_lams = [_sorted_eigs(cond.gain(i, table.total[i][i])) for i in range(len(stack))]
@@ -236,8 +241,7 @@ def _check_spd(name: str, mats: list[Array], dims) -> list[Array]:
     return out
 
 
-def contraction_check(stack: SystemStack, p, q, sample_points,
-                      residual_tol: float = 1e-10) -> ContractionCertificate:
+def contraction_check(stack: SystemStack, p, q, sample_points) -> ContractionCertificate:
     """Check the per-level contraction inequalities at the sample points."""
     n = len(stack)
     p_mats = _check_spd("P", list(p), stack.dims)
@@ -257,7 +261,7 @@ def contraction_check(stack: SystemStack, p, q, sample_points,
             resid = p_mats[i] @ d + d.T @ p_mats[i] + q_mats[i]
             lam = float(np.max(np.linalg.eigvalsh(0.5 * (resid + resid.T))))
             max_res[i] = max(max_res[i], lam)
-            if lam > residual_tol:
+            if lam > CONTRACTION_RESIDUAL_TOL:
                 holds = False
             sv = np.linalg.svd(d, compute_uv=False)
             inv_norm = np.inf if sv[-1] == 0 else float(1.0 / sv[-1])
@@ -272,7 +276,7 @@ def contraction_check(stack: SystemStack, p, q, sample_points,
 
 
 def distance_bound_margins(stack: SystemStack, certificate: ContractionCertificate,
-                           points, tol: float = 1e-12) -> Array:
+                           points) -> Array:
     """Check norm(x_i - x_i^s) <= bound_i * norm(reduced field at level i).
 
     Returns the matrix of margins bound_i * norm(f_i^r) - norm(x_i - x_i^s),
@@ -284,12 +288,10 @@ def distance_bound_margins(stack: SystemStack, certificate: ContractionCertifica
     for r, x in enumerate(pts):
         blocks = stack.split(x)
         for i in range(n):
-            solved = steady_state_solve(stack, i, blocks[:i],
-                                        np.concatenate(blocks[i:]), tol=tol)
+            solved = steady_state_solve(stack, i, blocks[:i], np.concatenate(blocks[i:]))
             dist = float(np.linalg.norm(blocks[i] - solved[0]))
             if i + 1 < n:
-                fr = reduced_field(stack, i, blocks[:i + 1],
-                                   np.concatenate(blocks[i + 1:]), tol=tol)
+                fr = reduced_field(stack, i, blocks[:i + 1], np.concatenate(blocks[i + 1:]))
             else:
                 fr = stack.field_block(i, x)
             margins[r, i] = certificate.inverse_bound[i] * float(np.linalg.norm(fr)) - dist

@@ -42,7 +42,8 @@ from predsens import registry
 def _report(num: int, description: str, clauses: list[tuple[str, bool]]) -> None:
     failed = [name for name, ok in clauses if not ok]
     status = "PASS" if not failed else "FAIL"
-    detail = "" if not failed else f"  [failing: {'; '.join(failed)}]"
+    detail = (f"  [{'; '.join(name for name, _ in clauses)}]" if not failed
+              else f"  [failing: {'; '.join(failed)}]")
     print(f"ACCEPTANCE {num:2d} {status}: {description}{detail}")
     assert not failed, f"criterion {num}: {description}{detail}"
 

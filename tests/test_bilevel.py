@@ -166,6 +166,23 @@ def test_basin_escape_from_far_start(example):
         assert np.min(np.linalg.norm(log.iterates, axis=1)) > 1.0
 
 
+@pytest.mark.parametrize("method, eps, x0, steps", [("gda", 0.5, [0.05, -0.206], 63),
+                                                     ("ps", None, [-0.406, 0.449], 1)])
+def test_run_off_to_a_singular_lower_hessian_is_divergence(example, method, eps, x0, steps):
+    """An iterate where exp(-x2^2/2) has driven the lower Hessian to 0 ends
+    the run as diverged, kept with a NaN residual."""
+    log = ps.solve_discrete(example, method, 0.25, x0, eps=eps)
+    assert log.diverged and not log.converged
+    assert log.iterations_used == steps and log.iterates.shape[0] == steps + 1
+    assert np.isnan(log.residuals[-1]) and np.all(np.isfinite(log.residuals[:-1]))
+    assert np.all(np.isfinite(log.iterates))
+    x1, x2 = log.iterates[-1][:1], log.iterates[-1][1:]
+    with pytest.raises(ps.SingularMatrixError):
+        total_gradient(example, x1, x2)
+    with pytest.raises(ps.SingularMatrixError):  # a singular start still raises
+        ps.solve_discrete(example, method, 0.25, log.iterates[-1], eps=eps)
+
+
 def test_solve_discrete_validation(example):
     with pytest.raises(ValueError):
         ps.solve_discrete(example, "ps", -0.1, [0.0, 0.0])

@@ -179,8 +179,7 @@ def test_rlc_equilibrium_newton_recovery():
     stack = cs.rlc_stack(params)
     eq = cs.rlc_equilibrium(params)
     rng = np.random.default_rng(14)
-    solved = ps.steady_state_solve(stack, 0, [], eq + rng.normal(0, 1.0, 8),
-                                   tol=1e-10)
+    solved = ps.steady_state_solve(stack, 0, [], eq + rng.normal(0, 1.0, 8))
     assert np.linalg.norm(stack.field(np.concatenate(solved))) <= 1e-10
     assert np.max(np.abs(np.concatenate(solved) - eq)) <= 1e-8
 

@@ -126,6 +126,17 @@ def test_stack_file_input(tmp_path):
     assert code == EXIT_OK
 
 
+@pytest.mark.parametrize("args, steps", [
+    (["--method", "gda", "--eps", "0.5", "--x0", "0.05,-0.206"], 63),
+    (["--method", "ps", "--x0=-0.406,0.449"], 1)])
+def test_bilevel_run_off_exits_0(tmp_path, capsys, args, steps):
+    assert run(["bilevel", *args, "--out", str(tmp_path)]) == EXIT_OK
+    assert capsys.readouterr().out == (f"bilevel: converged=false after {steps} "
+                                       f"iterations (residual nan)\n")
+    rows = (tmp_path / "iterates.csv").read_text().splitlines()
+    assert len(rows) == steps + 2 and rows[-1].endswith(",nan")
+
+
 def test_config_errors_exit_2(tmp_path):
     assert run(["simulate", "--stack", "nope", "--scheme", "plain",
                 "--out", str(tmp_path)]) == EXIT_CONFIG

@@ -5,7 +5,7 @@ import pytest
 
 import predsens as ps
 from predsens import registry
-from predsens.conditioning import make_conditioned_field
+from predsens.conditioning import compile_scheme, make_conditioned_field
 
 
 def _schemes_for(stack):
@@ -181,6 +181,20 @@ def test_compiled_affine_field_matches_per_call_field(name):
         for x in points:
             ref = ps.conditioned_field(stack, scheme, x)
             assert np.max(np.abs(field(x) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("name", ["r2", "linear3", "bilevel-example"])
+def test_compiled_conditioner_gives_the_same_bits_as_its_scheme(name):
+    stack = registry.get_stack(name)
+    points = np.random.default_rng(33).normal(scale=0.5, size=(10, stack.total_dim))
+    schemes = _schemes_for(stack) + [
+        ps.Preconditioned([np.diag(np.arange(2.0, d + 2.0)) for d in stack.dims])]
+    for scheme in schemes:
+        cond = compile_scheme(stack, scheme)
+        assert compile_scheme(stack, cond) is cond
+        for x in points:
+            assert (ps.conditioned_field(stack, cond, x).tobytes()
+                    == ps.conditioned_field(stack, scheme, x).tobytes())
 
 
 def test_approximate_provider_is_called_on_every_evaluation(r2_stack):

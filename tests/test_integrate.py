@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import predsens as ps
-from predsens import registry
+from predsens import conditioning, registry
 
 
 def test_scalar_decay_rk4_matches_exponential():
@@ -178,6 +178,25 @@ def test_singular_block_found_while_compiling_is_reported_at_time_zero():
                          ps.IntegrationSettings("rk4", 0.01, 1.0))
     assert err.value.level == 1
     assert err.value.time == 0.0
+
+
+def test_nonaffine_run_validates_its_scheme_once(monkeypatch):
+    """The per-call field reuses the record compiled when the run starts."""
+    stack = registry.get_stack("bilevel-example")
+    scheme = ps.Preconditioned([np.eye(1), 2.0 * np.eye(1)])
+    compiled = []
+    original = conditioning.compile_scheme
+
+    def counting(stack, scheme):
+        if not isinstance(scheme, conditioning.Conditioner):
+            compiled.append(scheme)
+        return original(stack, scheme)
+
+    monkeypatch.setattr(conditioning, "compile_scheme", counting)
+    traj = ps.integrate_ode(stack, scheme, [0.4, 0.4],
+                            ps.IntegrationSettings("rk4", 0.04, 0.2))
+    assert traj.times.size == 6
+    assert len(compiled) == 1
 
 
 def test_manifold_error_marks_unsolvable_samples_nan():

@@ -92,7 +92,7 @@ def test_steady_state_rlc_inner_loop():
     stack = cs.rlc_stack(params)
     vref = np.asarray(params.v_ref)
     upstream = np.concatenate([vref, np.zeros(2)])
-    solved = ps.steady_state_solve(stack, 1, [upstream], np.zeros(4), tol=1e-10)
+    solved = ps.steady_state_solve(stack, 1, [upstream], np.zeros(4))
     i_ref = params.c * params.omega * (cs.ROT90 @ vref)
     assert np.allclose(solved[0][:2], i_ref, atol=1e-9)
     assert np.allclose(solved[0][2:], 0.0, atol=1e-9)
@@ -104,7 +104,7 @@ def test_steady_state_nonconvergence_reports_residual():
         ps.Subsystem(1, lambda x: np.array([1.0 + x[1] ** 2])),  # no real root
     ])
     with pytest.raises(ps.ConvergenceError) as err:
-        ps.steady_state_solve(stack, 1, [[0.0]], [0.5], max_iter=20)
+        ps.steady_state_solve(stack, 1, [[0.0]], [0.5])
     assert err.value.residual is not None and err.value.residual > 0
 
 
