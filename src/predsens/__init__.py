@@ -19,8 +19,7 @@ from .conditioning import (ApproximateSensitivity, Plain, Preconditioned,
 from .errors import (ConvergenceError, EvaluationError, NotSteadyStateError,
                      SingularMatrixError, StackDefinitionError)
 from .integrate import IntegrationSettings, Trajectory, integrate_ode, manifold_error
-from .model import (StatePoint, Subsystem, SystemStack, finite_difference_jacobian,
-                    linear_stack, validate_stack)
+from .model import Subsystem, SystemStack, finite_difference_jacobian, linear_stack
 from .sensitivity import (SensitivityTable, jacobian_grid, reduced_field,
                           steady_state_solve, total_derivative_table)
 from .stability import (BlockTriangularForm, ContractionCertificate, StabilityReport,
@@ -36,7 +35,7 @@ __all__ = [
     "IntegrationSettings", "IterateLog", "NotSteadyStateError", "Plain",
     "PointClassification", "Preconditioned", "PredictiveSensitivity",
     "Scheme", "SensitivityTable", "SingularMatrixError", "SingularPerturbation",
-    "SolutionVerdict", "StabilityReport", "StackDefinitionError", "StatePoint",
+    "SolutionVerdict", "StabilityReport", "StackDefinitionError",
     "Subsystem", "SystemStack", "Trajectory", "Verdict", "as_system_stack",
     "block_triangular_form", "classify_local_stability", "classify_point",
     "conditioned_field", "conditioning_matrix", "contraction_check",
@@ -46,5 +45,5 @@ __all__ = [
     "lower_solve", "manifold_error", "match_eigenvalues",
     "noisy_sensitivity_provider", "reduced_field", "reduced_hessian_fd",
     "solve_discrete", "steady_state_solve", "total_derivative_table",
-    "total_gradient", "validate_stack",
+    "total_gradient",
 ]

@@ -49,7 +49,6 @@ class Trajectory:
 
     times: Array
     states: Array
-    dims: tuple[int, ...]
     diverged: bool = False
     diverged_at: float | None = None
 
@@ -111,7 +110,7 @@ def integrate_ode(stack: SystemStack, scheme: Scheme, x0,
             diverged, diverged_at = True, t_next
             break
     return Trajectory(times=np.asarray(times), states=np.asarray(states),
-                      dims=stack.dims, diverged=diverged, diverged_at=diverged_at)
+                      diverged=diverged, diverged_at=diverged_at)
 
 
 def manifold_error(stack: SystemStack, trajectory: Trajectory, level: int) -> Array:

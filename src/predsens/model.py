@@ -2,8 +2,9 @@
 
 A :class:`SystemStack` holds N subsystems. Subsystem ``i`` owns a state
 block of dimension ``dims[i]`` and a vector field ``f_i`` evaluated on the
-full stacked state. All matrices produced elsewhere in the package use the
-same block ordering, with index 0 the slowest subsystem.
+full stacked state. A state (a point) is always a flat array of length
+``total_dim``, blocks in stack order; all matrices produced elsewhere in the
+package use the same block ordering, with index 0 the slowest subsystem.
 """
 
 from __future__ import annotations
@@ -37,7 +38,10 @@ class Subsystem:
     to this subsystem's derivative block of length ``dim``. ``jacobian``,
     when given, maps the full stacked state to the list of partial blocks
     of ``field`` with respect to every state block, in stack order. When
-    absent, central finite differences are used.
+    absent, central finite differences are used. Both are checked where
+    they are read (:meth:`SystemStack.field_block` and
+    :func:`predsens.sensitivity.jacobian_row`); a wrong length or block
+    shape raises :class:`StackDefinitionError` with this level's index.
 
     ``constant_jacobian`` declares that those partial blocks do not depend
     on the state, i.e. that ``field`` is affine. It is never inferred;
@@ -70,10 +74,7 @@ class SystemStack:
         return len(self.subsystems)
 
     def split(self, x: Array) -> list[Array]:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.total_dim,):
-            raise StackDefinitionError(
-                f"state has shape {x.shape}, expected ({self.total_dim},)")
+        x = as_flat(self, x)
         return [x[self.offsets[i]:self.offsets[i + 1]] for i in range(len(self))]
 
     def field_block(self, i: int, x: Array) -> Array:
@@ -106,43 +107,12 @@ class SystemStack:
         return SystemStack([make(s) for s in self.subsystems])
 
 
-@dataclass(frozen=True)
-class StatePoint:
-    """Immutable stacked state, stored as one read-only block per subsystem."""
-
-    blocks: tuple[Array, ...]
-
-    @classmethod
-    def from_flat(cls, dims: Sequence[int], x) -> "StatePoint":
-        x = np.asarray(x, dtype=float).reshape(-1)
-        if x.size != int(np.sum(dims)):
-            raise StackDefinitionError(
-                f"state has {x.size} entries, expected {int(np.sum(dims))}")
-        offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
-        return cls(tuple(_frozen(x[offsets[i]:offsets[i + 1]]) for i in range(len(dims))))
-
-    @classmethod
-    def from_blocks(cls, blocks: Sequence) -> "StatePoint":
-        return cls(tuple(_frozen(b) for b in blocks))
-
-    def flatten(self) -> Array:
-        return np.concatenate(self.blocks)
-
-    @property
-    def total_dim(self) -> int:
-        return sum(b.size for b in self.blocks)
-
-
 def as_flat(stack: SystemStack, point) -> Array:
-    """Accept a StatePoint, block list, or flat array; return the flat state."""
-    if isinstance(point, StatePoint):
-        x = point.flatten()
-    else:
-        arr = np.asarray(point, dtype=float)
-        if arr.ndim == 1:
-            x = arr
-        else:
-            x = np.concatenate([np.asarray(b, dtype=float).reshape(-1) for b in point])
+    """``point`` as a float array; it must be flat, of length ``total_dim``."""
+    try:
+        x = np.asarray(point, dtype=float)
+    except ValueError as exc:  # a ragged block list, or not numbers
+        raise StackDefinitionError(f"state is not a flat array: {exc}") from exc
     if x.shape != (stack.total_dim,):
         raise StackDefinitionError(
             f"state has shape {x.shape}, expected ({stack.total_dim},)")
@@ -157,7 +127,7 @@ def finite_difference_jacobian(field: FieldFn, point, step: float = DEFAULT_FD_S
     """
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
-    x = point.flatten() if isinstance(point, StatePoint) else np.asarray(point, dtype=float).reshape(-1)
+    x = np.asarray(point, dtype=float).reshape(-1)
     base = np.asarray(field(x), dtype=float).reshape(-1)
     if not np.all(np.isfinite(base)):
         raise EvaluationError(f"field returned non-finite values at {x!r}")
@@ -181,47 +151,6 @@ def write_csv(path, header: str, columns: Sequence[Array]) -> None:
     under a ``header`` line, every value in round-trip ``.17g`` form."""
     np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",",
                header=header, comments="")
-
-
-@dataclass(frozen=True)
-class StackReport:
-    """Outcome of :func:`validate_stack`."""
-
-    total_dim: int
-    dims: tuple[int, ...]
-    analytic_jacobian: tuple[bool, ...]
-    ok: bool = True
-
-
-def validate_stack(stack: SystemStack, probe) -> StackReport:
-    """Check field output lengths and Jacobian block shapes at ``probe``.
-
-    Raises :class:`StackDefinitionError` naming the offending subsystem on
-    any mismatch; otherwise reports which subsystems carry analytic
-    Jacobians.
-    """
-    x = as_flat(stack, probe)
-    analytic = []
-    for i, sub in enumerate(stack.subsystems):
-        out = np.asarray(sub.field(x), dtype=float).reshape(-1)
-        if out.shape != (sub.dim,):
-            raise StackDefinitionError(
-                f"field of subsystem {i} returned length {out.size}, expected {sub.dim}",
-                index=i)
-        if sub.jacobian is not None:
-            blocks = list(sub.jacobian(x))
-            if len(blocks) != len(stack):
-                raise StackDefinitionError(
-                    f"jacobian of subsystem {i} returned {len(blocks)} blocks, "
-                    f"expected {len(stack)}", index=i)
-            for j, blk in enumerate(blocks):
-                blk = np.asarray(blk, dtype=float)
-                if blk.shape != (sub.dim, stack.dims[j]):
-                    raise StackDefinitionError(
-                        f"jacobian block ({i},{j}) has shape {blk.shape}, expected "
-                        f"({sub.dim},{stack.dims[j]})", index=i)
-        analytic.append(sub.jacobian is not None)
-    return StackReport(stack.total_dim, stack.dims, tuple(analytic))
 
 
 def linear_stack(dims: Sequence[int], blocks, offsets=None) -> SystemStack:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, SingularMatrixError
+from .errors import ConvergenceError, SingularMatrixError, StackDefinitionError
 from .model import Array, SystemStack, as_flat, finite_difference_jacobian, DEFAULT_FD_STEP
 
 #: Diagonal blocks with a 2-norm condition estimate beyond this are treated
@@ -48,10 +48,22 @@ def solve_checked(a: Array, b: Array, level: int | None = None) -> Array:
 
 
 def jacobian_row(stack: SystemStack, i: int, x: Array) -> list[Array]:
-    """Partial blocks of f_i with respect to every state block."""
+    """Partial blocks of f_i with respect to every state block.
+
+    This is where analytic Jacobian blocks are read, so this is where they
+    are checked: a wrong block count or shape raises
+    :class:`StackDefinitionError` with ``index=i``.
+    """
     sub = stack.subsystems[i]
     if sub.jacobian is not None:
-        return [np.atleast_2d(np.asarray(b, dtype=float)) for b in sub.jacobian(x)]
+        row = [np.atleast_2d(np.asarray(b, dtype=float)) for b in sub.jacobian(x)]
+        shapes = [b.shape for b in row]
+        expected = [(sub.dim, d) for d in stack.dims]
+        if shapes != expected:
+            raise StackDefinitionError(
+                f"jacobian of subsystem {i} returned blocks of shapes {shapes}, "
+                f"expected {expected}", index=i)
+        return row
     full = finite_difference_jacobian(lambda y: stack.field_block(i, y), x, DEFAULT_FD_STEP)
     return [full[:, stack.offsets[j]:stack.offsets[j + 1]] for j in range(len(stack))]
 
@@ -70,8 +82,6 @@ class SensitivityTable:
     None otherwise.
     """
 
-    point: Array
-    dims: tuple[int, ...]
     partial: list[list[Array]]
     total: list[list[Array]]
     sens: list[list[Array | None]]
@@ -98,8 +108,7 @@ def total_derivative_table(stack: SystemStack, point) -> SensitivityTable:
         if i > 0:
             for j in range(i):
                 sens[i][j] = solve_checked(total[i][i], -total[i][j], level=i)
-    return SensitivityTable(point=x, dims=stack.dims, partial=grid,
-                            total=total, sens=sens)  # type: ignore[arg-type]
+    return SensitivityTable(partial=grid, total=total, sens=sens)  # type: ignore[arg-type]
 
 
 def _newton(residual, jacobian, y0: Array, what: str) -> Array:
@@ -134,10 +143,10 @@ def _newton(residual, jacobian, y0: Array, what: str) -> Array:
 def steady_state_solve(stack: SystemStack, level: int, upstream, guess) -> list[Array]:
     """Solve f_j = 0 jointly for all levels j >= ``level``.
 
-    ``upstream`` holds the fixed blocks x_0 .. x_{level-1}; ``guess`` the
-    starting blocks (or flat values) for the solved levels. Returns the
-    solved blocks in level order. The joint root coincides with the nested
-    steady-state maps of the individual levels.
+    ``upstream`` holds the fixed blocks x_0 .. x_{level-1}; ``guess`` is the
+    flat starting state of the solved levels. Returns the solved blocks in
+    level order. The joint root coincides with the nested steady-state maps
+    of the individual levels.
     """
     n = len(stack)
     if not 0 <= level < n:
@@ -153,9 +162,8 @@ def steady_state_solve(stack: SystemStack, level: int, upstream, guess) -> list[
     tail_dims = stack.dims[level:]
     tail_size = int(np.sum(tail_dims))
     g = np.asarray(guess, dtype=float)
-    g = g.reshape(-1) if g.ndim == 1 else np.concatenate([np.ravel(b) for b in g])
-    if g.size != tail_size:
-        raise ValueError(f"guess has {g.size} entries, expected {tail_size}")
+    if g.shape != (tail_size,):
+        raise ValueError(f"guess has shape {g.shape}, expected ({tail_size},)")
 
     def compose(y: Array) -> Array:
         return np.concatenate([head, y])

@@ -13,12 +13,11 @@ from enum import Enum
 
 import numpy as np
 
-from .conditioning import (Conditioner, Scheme, compile_scheme, conditioned_field,
-                           conditioned_jacobian)
+from .conditioning import Conditioner, Scheme, compile_scheme, conditioned_jacobian
 from .errors import ConvergenceError, NotSteadyStateError
-from .model import DEFAULT_FD_STEP, Array, SystemStack, as_flat, finite_difference_jacobian
-from .sensitivity import (STEADY_STATE_TOL, SensitivityTable, steady_state_solve,
-                          reduced_field, total_derivative_table)
+from .model import Array, SystemStack, as_flat
+from .sensitivity import (STEADY_STATE_TOL, steady_state_solve, reduced_field,
+                          total_derivative_table)
 
 #: Verdicts stay Marginal while |max Re lambda| <= this.
 STABILITY_TOL = 1e-9
@@ -59,23 +58,15 @@ def match_eigenvalues(a, b) -> float:
     return worst
 
 
-def jacobian_at(stack: SystemStack, scheme: Scheme | Conditioner, point,
-                method: str = "fd") -> Array:
-    """Jacobian of the conditioned field at ``point``.
+def jacobian_at(stack: SystemStack, scheme: Scheme | Conditioner, point) -> Array:
+    """M^{-1} grad f at ``point``, M being the scheme's conditioning matrix.
 
-    ``method="fd"`` differentiates the conditioned field directly and is
-    valid anywhere. ``method="assembled"`` forms M^{-1} grad f from the
-    conditioning matrix; the two agree at steady states (and everywhere for
-    conditionings with state-independent M). The scheme is compiled once.
+    This equals the Jacobian of the conditioned field M^{-1} f at steady
+    states (where f = 0 cancels the derivative of M^{-1}), and everywhere
+    for conditionings with a state-independent M. The scheme is compiled
+    once.
     """
-    x = as_flat(stack, point)
-    cond = compile_scheme(stack, scheme)
-    if method == "fd":
-        return finite_difference_jacobian(
-            lambda y: conditioned_field(stack, cond, y), x, DEFAULT_FD_STEP)
-    if method == "assembled":
-        return conditioned_jacobian(stack, cond, x)[0]
-    raise ValueError(f"method must be 'fd' or 'assembled', got {method!r}")
+    return conditioned_jacobian(stack, compile_scheme(stack, scheme), as_flat(stack, point))[0]
 
 
 @dataclass
@@ -90,7 +81,6 @@ class BlockTriangularForm:
     matrix: Array
     transforms: list[Array]
     diagonal_blocks: list[Array]
-    table: SensitivityTable
     similarity_gap: float
 
 
@@ -123,8 +113,7 @@ def block_triangular_form(stack: SystemStack, point) -> BlockTriangularForm:
     gap = match_eigenvalues(eigenvalues(a_tilde),
                             eigenvalues(minv @ grad))
     return BlockTriangularForm(matrix=a_tilde, transforms=transforms,
-                               diagonal_blocks=diag, table=table,
-                               similarity_gap=gap)
+                               diagonal_blocks=diag, similarity_gap=gap)
 
 
 @dataclass
@@ -168,7 +157,7 @@ def classify_local_stability(stack: SystemStack, scheme: Scheme, steady_point,
         raise NotSteadyStateError(
             f"point is not a steady state (residual {fnorm:.3e} > {tol:.1e})")
     cond = compile_scheme(stack, scheme)
-    jac = jacobian_at(stack, cond, x, method="assembled")
+    jac = jacobian_at(stack, cond, x)
     lams = _sorted_eigs(jac)
     abscissa = float(np.max(lams.real))
     if abscissa < -STABILITY_TOL:
@@ -215,9 +204,6 @@ class ContractionCertificate:
     sampled verification is recorded in ``bounds_verified``.
     """
 
-    p: list[Array]
-    q: list[Array]
-    sample_points: list[Array]
     holds: bool
     inverse_bound: list[float]
     max_residual_eig: list[float]
@@ -268,8 +254,7 @@ def contraction_check(stack: SystemStack, p, q, sample_points) -> ContractionCer
             max_inv[i] = max(max_inv[i], inv_norm)
     bounds_verified = holds and all(
         max_inv[i] <= bound[i] * (1.0 + 1e-12) + 1e-12 for i in range(n))
-    return ContractionCertificate(p=p_mats, q=q_mats, sample_points=pts,
-                                  holds=holds, inverse_bound=bound,
+    return ContractionCertificate(holds=holds, inverse_bound=bound,
                                   max_residual_eig=max_res,
                                   max_inverse_norm=max_inv,
                                   bounds_verified=bounds_verified)

@@ -72,8 +72,7 @@ def test_criterion_02_spectrum_preservation(random_linear_suite):
     worst = 0.0
     for stack in random_linear_suite:
         x0 = np.zeros(stack.total_dim)
-        jac = ps.jacobian_at(stack, ps.PredictiveSensitivity(), x0,
-                             method="assembled")
+        jac = ps.jacobian_at(stack, ps.PredictiveSensitivity(), x0)
         table = ps.total_derivative_table(stack, x0)
         union = np.concatenate([ps.eigenvalues(table.total[i][i])
                                 for i in range(len(stack))])

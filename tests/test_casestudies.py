@@ -148,7 +148,7 @@ def test_rlc_field_vanishes_at_reference_equilibrium():
 def test_rlc_zero_rotation_decouples_axes():
     params = cs.RlcParams(omega=0.0, v_ref=(0.0, 0.0))
     stack = cs.rlc_stack(params)
-    jac = ps.jacobian_at(stack, ps.Plain(), np.zeros(8), method="assembled")
+    jac = ps.jacobian_at(stack, ps.Plain(), np.zeros(8))
     re_idx, im_idx = [0, 2, 4, 6], [1, 3, 5, 7]
     assert np.max(np.abs(jac[np.ix_(re_idx, im_idx)])) == 0.0
     assert np.max(np.abs(jac[np.ix_(im_idx, re_idx)])) == 0.0

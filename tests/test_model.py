@@ -13,44 +13,66 @@ def test_flatten_split_bijection_bit_identical():
     rng = np.random.default_rng(0)
     for _ in range(50):
         dims = [int(d) for d in rng.integers(1, 5, size=rng.integers(1, 5))]
+        stack = ps.SystemStack([ps.Subsystem(d, lambda x: x) for d in dims])
         x = rng.standard_normal(int(np.sum(dims))) * 10.0 ** rng.integers(-8, 8)
-        p = ps.StatePoint.from_flat(dims, x)
-        assert p.flatten().tobytes() == x.tobytes()
-        q = ps.StatePoint.from_blocks(p.blocks)
-        assert q.flatten().tobytes() == x.tobytes()
+        blocks = stack.split(x)
+        assert [b.size for b in blocks] == dims
+        assert np.concatenate(blocks).tobytes() == x.tobytes()
 
 
-def test_state_point_blocks_are_read_only():
-    p = ps.StatePoint.from_flat([1, 2], [1.0, 2.0, 3.0])
-    with pytest.raises(ValueError):
-        p.blocks[0][0] = 9.0
-
-
-def test_validate_stack_well_formed():
-    stack = ps.SystemStack([
-        ps.Subsystem(1, lambda x: np.array([x[0] - 2 * x[1]])),
-        ps.Subsystem(1, lambda x: np.array([0.5 * x[0] - 0.5 * x[1]])),
-    ])
-    report = ps.validate_stack(stack, [0.0, 0.0])
-    assert report.ok and report.total_dim == 2
-    assert report.analytic_jacobian == (False, False)
-
-
-def test_validate_stack_flags_wrong_field_length():
+def test_field_flags_wrong_field_length():
     stack = ps.SystemStack([
         ps.Subsystem(1, lambda x: np.array([x[0]])),
         ps.Subsystem(1, lambda x: np.array([x[1], x[1]])),  # length 2, dim 1
     ])
     with pytest.raises(ps.StackDefinitionError) as err:
-        ps.validate_stack(stack, [0.0, 0.0])
+        stack.field(np.zeros(2))
     assert err.value.index == 1
 
 
-def test_validate_rlc_stack_reports_analytic_jacobians():
-    stack = cs.rlc_stack(cs.RlcParams())
-    report = ps.validate_stack(stack, np.zeros(8))
-    assert report.total_dim == 8
-    assert report.analytic_jacobian == (True, True)
+def _r2_with_jacobian(level: int, jacobian) -> ps.SystemStack:
+    """r2 (f_0 = x_0 - 2 x_1, f_1 = (x_0 - x_1) / 2) with ``jacobian`` as
+    the Jacobian provider of ``level`` and correct blocks elsewhere."""
+    rows = [[[[1.0]], [[-2.0]]], [[[0.5]], [[-0.5]]]]
+    fields = [lambda x: np.array([x[0] - 2.0 * x[1]]),
+              lambda x: np.array([0.5 * x[0] - 0.5 * x[1]])]
+    jacs = [lambda x, r=r: r for r in rows]
+    jacs[level] = jacobian
+    return ps.SystemStack([ps.Subsystem(1, f, j) for f, j in zip(fields, jacs)])
+
+
+@pytest.mark.parametrize("level, jacobian", [
+    (0, lambda x: [[[1.0]]]),                          # one block for two levels
+    (1, lambda x: [[[0.5]], [[-0.5]], [[0.0]]]),       # three blocks
+    (0, lambda x: [np.eye(2), [[-2.0]]]),               # (2, 2) block, 1-dim level
+    (1, lambda x: [[[0.5]], [[-0.5], [0.0]]]),          # (2, 1) block
+], ids=["one-block", "three-blocks", "2x2-block", "2x1-block"])
+def test_mismatched_jacobian_provider_names_its_level(level, jacobian):
+    stack = _r2_with_jacobian(level, jacobian)
+    with pytest.raises(ps.StackDefinitionError) as err:
+        ps.total_derivative_table(stack, [0.0, 0.0])
+    assert err.value.index == level
+    for scheme in (ps.Plain(), ps.PredictiveSensitivity()):
+        with pytest.raises(ps.StackDefinitionError) as err:
+            ps.classify_local_stability(stack, scheme, [0.0, 0.0])
+        assert err.value.index == level
+
+
+@pytest.mark.parametrize("dims, point", [
+    ((1, 2), [[0.1], [0.2, 0.3]]),        # ragged block list
+    ((1, 1), [[0.1], [0.2]]),             # equal-size block list
+    ((1, 1), np.array([[0.1], [0.2]])),   # column array
+    ((1, 1), [0.1, 0.2, 0.3]),            # wrong length
+], ids=["ragged-list", "equal-size-list", "column-array", "wrong-length"])
+def test_only_a_flat_point_is_accepted(dims, point):
+    cuts = np.cumsum((0,) + dims)
+    stack = ps.SystemStack([ps.Subsystem(d, lambda x, a=a, b=b: -x[a:b])
+                            for d, a, b in zip(dims, cuts[:-1], cuts[1:])])
+    settings = ps.IntegrationSettings("rk4", 0.1, 0.2)
+    with pytest.raises(ps.StackDefinitionError):
+        ps.integrate_ode(stack, ps.PredictiveSensitivity(), point, settings)
+    with pytest.raises(ps.StackDefinitionError):
+        ps.total_derivative_table(stack, point)
 
 
 def test_fd_jacobian_square():

@@ -1,7 +1,7 @@
-"""The tunable surface of the package: which public functions take a
-defaulted parameter. Each one is a setting some caller chooses; settings no
-caller chooses are module constants instead, so adding a knob means
-editing this list."""
+"""The surface of the package: the public names it exports, and which
+public functions take a defaulted parameter. Each defaulted parameter is a
+setting some caller chooses; settings no caller chooses are module
+constants instead. Adding a name or a knob means editing these lists."""
 
 import inspect
 import pkgutil
@@ -21,7 +21,25 @@ KEPT_DEFAULTS = {
     "model.linear_stack.offsets",
     "sensitivity.solve_checked.level",
     "stability.classify_local_stability.tol",
-    "stability.jacobian_at.method",
+}
+
+KEPT_NAMES = {
+    "ApproximateSensitivity", "BilevelProblem", "BlockTriangularForm",
+    "ContractionCertificate", "ConvergenceError", "EvaluationError",
+    "IntegrationSettings", "IterateLog", "NotSteadyStateError", "Plain",
+    "PointClassification", "Preconditioned", "PredictiveSensitivity",
+    "Scheme", "SensitivityTable", "SingularMatrixError", "SingularPerturbation",
+    "SolutionVerdict", "StabilityReport", "StackDefinitionError",
+    "Subsystem", "SystemStack", "Trajectory", "Verdict", "as_system_stack",
+    "block_triangular_form", "classify_local_stability", "classify_point",
+    "conditioned_field", "conditioning_matrix", "contraction_check",
+    "discrete_step", "distance_bound_margins", "eigenvalues",
+    "finite_difference_jacobian", "frozen_sensitivity_provider",
+    "integrate_ode", "jacobian_at", "jacobian_grid", "linear_stack",
+    "lower_solve", "manifold_error", "match_eigenvalues",
+    "noisy_sensitivity_provider", "reduced_field", "reduced_hessian_fd",
+    "solve_discrete", "steady_state_solve", "total_derivative_table",
+    "total_gradient",
 }
 
 
@@ -40,3 +58,8 @@ def _defaulted_parameters() -> set[str]:
 
 def test_defaulted_public_parameters_are_the_kept_settings():
     assert _defaulted_parameters() == KEPT_DEFAULTS
+
+
+def test_public_names_are_the_kept_names():
+    assert len(predsens.__all__) == len(set(predsens.__all__))
+    assert set(predsens.__all__) == KEPT_NAMES
