@@ -171,20 +171,25 @@ def conditioned_field(stack: SystemStack, scheme: Scheme | Conditioner, point) -
     return out
 
 
+def is_affine(stack: SystemStack, cond: Conditioner) -> bool:
+    """Whether the conditioned field is an affine map ``x -> A_c x + b_c``:
+    every subsystem declares ``constant_jacobian`` and the sensitivities are
+    exact or absent (an approximate provider may vary with the state), so M
+    and the Jacobian are constant."""
+    return (cond.sens is None or cond.exact) and stack.constant_jacobian
+
+
 def make_conditioned_field(stack: SystemStack, scheme: Scheme) -> Callable[[Array], Array]:
     """Closure over (stack, scheme) for tight integration loops.
 
-    When every subsystem declares ``constant_jacobian`` and the scheme's
-    sensitivities are exact or absent (an approximate provider may vary with
-    the state), M and the Jacobian are constant, so the conditioned field is
-    the affine map ``x -> A_c x + b_c``. It is compiled here once, through
-    :func:`conditioning_matrix` at the origin, which is also where a singular
-    diagonal block raises. Otherwise every call evaluates
-    :func:`conditioned_field` afresh on the scheme compiled here once.
+    When :func:`is_affine` holds, the affine map ``x -> A_c x + b_c`` is
+    compiled here once, through :func:`conditioning_matrix` at the origin,
+    which is also where a singular diagonal block raises. Otherwise every
+    call evaluates :func:`conditioned_field` afresh on the scheme compiled
+    here once.
     """
     cond = compile_scheme(stack, scheme)
-    if ((cond.sens is not None and not cond.exact)
-            or not all(s.constant_jacobian for s in stack.subsystems)):
+    if not is_affine(stack, cond):
         return lambda x: conditioned_field(stack, cond, x)
     origin = np.zeros(stack.total_dim)
     a_c, apply_inverse = conditioned_jacobian(stack, cond, origin)

@@ -11,12 +11,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditioning import Scheme, make_conditioned_field
-from .errors import ConvergenceError, SingularMatrixError
+from . import conditioning
+from .conditioning import Scheme, is_affine, make_conditioned_field
+from .errors import ConvergenceError, EvaluationError, SingularMatrixError
 from .model import Array, SystemStack, as_flat
-from .sensitivity import steady_state_solve
+from .sensitivity import steady_state_map, steady_state_solve
 
 DEFAULT_DIVERGENCE_THRESHOLD = 1e6
+
+#: The step map is applied while the state stays within this max-norm.
+#: Beyond it, where the stages of a step through the field could overflow,
+#: every step (this one included) goes through the field, so a run that
+#: overflows ends as it would without the map.
+STEP_MAP_LIMIT = 1e150
+
+#: States are written into a preallocated block of this many rows; a full
+#: block is replaced by one four times larger, capped at the whole grid, so a
+#: run that stops early never reserves memory for the whole grid.
+FIRST_STATE_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -69,6 +81,18 @@ def _rk4_step(f, x: Array, dt: float) -> Array:
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _step_map(f, step, dt: float, dim: int) -> tuple[Array, Array] | None:
+    """``(P, q)`` with ``step(f, x, dt) == P @ x + q`` for an affine ``f``,
+    built from ``dim + 1`` steps of ``f`` itself; None when they are not all
+    finite."""
+    try:
+        q = step(f, np.zeros(dim), dt)
+        p = np.column_stack([step(f, unit, dt) - q for unit in np.eye(dim)])
+    except EvaluationError:
+        return None
+    return (p, q) if np.isfinite(p).all() and np.isfinite(q).all() else None
+
+
 def integrate_ode(stack: SystemStack, scheme: Scheme, x0,
                   settings: IntegrationSettings) -> Trajectory:
     """Integrate the conditioned field from ``x0`` on a fixed grid.
@@ -77,39 +101,60 @@ def integrate_ode(stack: SystemStack, scheme: Scheme, x0,
     threshold in max-norm or turns non-finite. Scheme evaluation failures
     propagate with the failing time attached as ``exc.time``; a failure
     found while compiling an affine field is reported at time 0.0.
+
+    When the conditioned field is affine (:func:`~predsens.conditioning.is_affine`)
+    one step is the affine map ``x -> P x + q``, built once from the field and
+    iterated while the state stays within ``STEP_MAP_LIMIT``.
     """
     x = as_flat(stack, x0)
     if not np.all(np.isfinite(x)):
         raise ValueError("initial state must be finite")
     try:
-        f = make_conditioned_field(stack, scheme)
+        cond = conditioning.compile_scheme(stack, scheme)  # the one compile of this run
+        f = make_conditioned_field(stack, cond)
     except (SingularMatrixError, ConvergenceError) as exc:
         exc.time = 0.0  # type: ignore[attr-defined]
         raise
     step = _rk4_step if settings.method == "rk4" else _euler_step
     n_steps = int(round(settings.t_end / settings.dt))
     dt = settings.dt
+    step_map = _step_map(f, step, dt, x.size) if is_affine(stack, cond) else None
 
-    states = [x.copy()]
-    times = [0.0]
+    rows = n_steps + 1
+    states = np.empty((min(rows, FIRST_STATE_ROWS), x.size))
+    states[0] = x
+    count = 1
     diverged = False
     diverged_at = None
     for k in range(n_steps):
         t_next = (k + 1) * dt
-        try:
-            x = step(f, x, dt)
-        except (SingularMatrixError, ConvergenceError) as exc:
-            exc.time = t_next  # type: ignore[attr-defined]
-            raise
-        if not np.all(np.isfinite(x)):
+        if step_map is not None:
+            x_new = step_map[0] @ x + step_map[1]
+            size = np.abs(x_new).max()
+            if not size <= STEP_MAP_LIMIT:  # NaN fails the comparison too
+                step_map = None
+        if step_map is None:
+            try:
+                x_new = step(f, x, dt)
+            except (SingularMatrixError, ConvergenceError) as exc:
+                exc.time = t_next  # type: ignore[attr-defined]
+                raise
+            size = np.abs(x_new).max()
+            if not np.isfinite(size):
+                diverged, diverged_at = True, t_next
+                break
+        x = x_new
+        if count == len(states):
+            grown = np.empty((min(rows, 4 * count), x.size))
+            grown[:count] = states
+            states = grown
+        states[count] = x
+        count += 1
+        if size > settings.divergence_threshold:
             diverged, diverged_at = True, t_next
             break
-        times.append(t_next)
-        states.append(x.copy())
-        if np.max(np.abs(x)) > settings.divergence_threshold:
-            diverged, diverged_at = True, t_next
-            break
-    return Trajectory(times=np.asarray(times), states=np.asarray(states),
+    return Trajectory(times=np.arange(count) * dt,
+                      states=states if count == len(states) else states[:count].copy(),
                       diverged=diverged, diverged_at=diverged_at)
 
 
@@ -118,17 +163,30 @@ def manifold_error(stack: SystemStack, trajectory: Trajectory, level: int) -> Ar
 
     Returns an array of shape (samples, N - level); column c holds
     ``norm(x_i(t) - x_i^s(x_0(t), ..., x_{i-1}(t)))`` for i = level + c.
-    Steady-state solves are warm-started from the previous sample; failed
-    solves leave NaN in that entry.
+    On an affine stack the map of each level is built once
+    (:func:`~predsens.sensitivity.steady_state_map`) and applied to every
+    sample; if building it fails, its column is NaN. Otherwise each sample
+    is solved on its own, warm-started from the previous sample, and a
+    failed solve leaves NaN in that entry.
     """
     n = len(stack)
     if not 0 <= level < n:
         raise IndexError(f"level {level} out of range for {n} subsystems")
-    samples = trajectory.states.shape[0]
+    states = trajectory.states
+    samples = states.shape[0]
     out = np.full((samples, n - level), np.nan)
+    if stack.constant_jacobian:
+        for c, i in enumerate(range(level, n)):
+            try:
+                steady = steady_state_map(stack, i)
+            except (SingularMatrixError, ConvergenceError):
+                continue
+            block = states[:, stack.offsets[i]:stack.offsets[i + 1]]
+            out[:, c] = np.linalg.norm(block - steady(states)[:, :stack.dims[i]], axis=1)
+        return out
     warm: list[Array | None] = [None] * (n - level)
     for k in range(samples):
-        blocks = stack.split(trajectory.states[k])
+        blocks = stack.split(states[k])
         for c, i in enumerate(range(level, n)):
             guess = warm[c] if warm[c] is not None else np.concatenate(blocks[i:])
             try:

@@ -45,8 +45,9 @@ class Subsystem:
 
     ``constant_jacobian`` declares that those partial blocks do not depend
     on the state, i.e. that ``field`` is affine. It is never inferred;
-    setting it on every subsystem lets the conditioned field be compiled
-    once (see :func:`predsens.conditioning.make_conditioned_field`).
+    setting it on every subsystem lets the conditioned field, the
+    integrator step and the steady-state maps be compiled once (see
+    :func:`predsens.conditioning.make_conditioned_field`).
     """
 
     dim: int
@@ -72,6 +73,12 @@ class SystemStack:
 
     def __len__(self) -> int:
         return len(self.subsystems)
+
+    @property
+    def constant_jacobian(self) -> bool:
+        """Whether every subsystem declares ``constant_jacobian``, i.e. the
+        stack is affine."""
+        return all(s.constant_jacobian for s in self.subsystems)
 
     def split(self, x: Array) -> list[Array]:
         x = as_flat(self, x)

@@ -17,6 +17,7 @@ points.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -183,6 +184,31 @@ def steady_state_solve(stack: SystemStack, level: int, upstream, guess) -> list[
     y = _newton(residual, jac, g, what=f"steady state from level {level}")
     cuts = np.concatenate([[0], np.cumsum(tail_dims)]).astype(int)
     return [y[cuts[k]:cuts[k + 1]] for k in range(len(tail_dims))]
+
+
+def steady_state_map(stack: SystemStack, level: int) -> Callable[[Array], Array]:
+    """The steady state of the levels >= ``level`` of an affine stack (every
+    subsystem declares ``constant_jacobian``) as a function of the upstream
+    blocks: the returned map takes states, one flat state per row, and gives
+    for each row the solved levels (flat, in level order) at its upstream
+    blocks.
+
+    The map is ``x -> G x_up + h``: ``h`` is one :func:`steady_state_solve`
+    at the origin and each column of ``G`` one at a unit upstream vector,
+    minus ``h``. Their errors propagate.
+    """
+    off = stack.offsets
+    guess = np.zeros(stack.total_dim - off[level])
+
+    def solve(head: Array) -> Array:
+        upstream = [head[off[j]:off[j + 1]] for j in range(level)]
+        return np.concatenate(steady_state_solve(stack, level, upstream, guess))
+
+    h = solve(np.zeros(off[level]))
+    g = np.empty((h.size, off[level]))
+    for k, unit in enumerate(np.eye(off[level])):
+        g[:, k] = solve(unit) - h
+    return lambda states: states[:, :off[level]] @ g.T + h
 
 
 def reduced_field(stack: SystemStack, level: int, partial_point, guess) -> Array:

@@ -16,8 +16,8 @@ import numpy as np
 from .conditioning import Conditioner, Scheme, compile_scheme, conditioned_jacobian
 from .errors import ConvergenceError, NotSteadyStateError
 from .model import Array, SystemStack, as_flat
-from .sensitivity import (STEADY_STATE_TOL, steady_state_solve, reduced_field,
-                          total_derivative_table)
+from .sensitivity import (STEADY_STATE_TOL, reduced_field, steady_state_map,
+                          steady_state_solve, total_derivative_table)
 
 #: Verdicts stay Marginal while |max Re lambda| <= this.
 STABILITY_TOL = 1e-9
@@ -230,10 +230,11 @@ def _check_spd(name: str, mats: list[Array], dims) -> list[Array]:
 def contraction_check(stack: SystemStack, p, q, sample_points) -> ContractionCertificate:
     """Check the per-level contraction inequalities at the sample points."""
     n = len(stack)
-    p_mats = _check_spd("P", list(p), stack.dims)
-    q_mats = _check_spd("Q", list(q), stack.dims)
-    if len(p_mats) != n or len(q_mats) != n:
+    p, q = list(p), list(q)
+    if len(p) != n or len(q) != n:
         raise ValueError(f"need one P and one Q per subsystem ({n})")
+    p_mats = _check_spd("P", p, stack.dims)
+    q_mats = _check_spd("Q", q, stack.dims)
     pts = [as_flat(stack, pt) for pt in sample_points]
     bound = [2.0 * float(np.linalg.norm(p_mats[i], 2)) / float(np.min(np.linalg.eigvalsh(q_mats[i])))
              for i in range(n)]
@@ -265,11 +266,25 @@ def distance_bound_margins(stack: SystemStack, certificate: ContractionCertifica
     """Check norm(x_i - x_i^s) <= bound_i * norm(reduced field at level i).
 
     Returns the matrix of margins bound_i * norm(f_i^r) - norm(x_i - x_i^s),
-    one row per point; nonnegative rows mean the distance bound holds.
+    one row per point; nonnegative rows mean the distance bound holds. On an
+    affine stack the steady states come from one
+    :func:`~predsens.sensitivity.steady_state_map` per level, applied to
+    every point; otherwise each point is solved on its own.
     """
     n = len(stack)
     pts = [as_flat(stack, pt) for pt in points]
     margins = np.empty((len(pts), n))
+    if stack.constant_jacobian:
+        xs = np.reshape(pts, (len(pts), stack.total_dim))
+        off = stack.offsets
+        steady = [steady_state_map(stack, i) for i in range(n)]
+        for i in range(n):
+            dist = np.linalg.norm(xs[:, off[i]:off[i + 1]] - steady[i](xs)[:, :stack.dims[i]],
+                                  axis=1)
+            reduced_at = xs if i + 1 == n else np.hstack([xs[:, :off[i + 1]], steady[i + 1](xs)])
+            fr = np.array([np.linalg.norm(stack.field_block(i, y)) for y in reduced_at])
+            margins[:, i] = certificate.inverse_bound[i] * fr - dist
+        return margins
     for r, x in enumerate(pts):
         blocks = stack.split(x)
         for i in range(n):

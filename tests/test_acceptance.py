@@ -8,7 +8,8 @@ One test per acceptance criterion, each printing a single PASS/FAIL line
  2. Spectrum preservation: conditioned Jacobian spectrum equals the union
     of reduced-block spectra on 100 random stacks (1e-6).
  3. Manifold tracking: conditioned fast level stays on its steady-state map
-    under RK4 (1e-9 at dt = 1e-3, improving >= 15x after halving dt twice).
+    under RK4 (1e-9 at dt = 1e-3 on the tracking stack; on the nonlinear
+    bilevel flow the error falls >= 15x after halving dt twice).
  4. Cascade PI: plain loop unstable, conditioned loop carries the two PI
     companion spectra (1e-8, high-precision eigensolve for the defective
     repeated pair).
@@ -84,19 +85,28 @@ def test_criterion_02_spectrum_preservation(random_linear_suite):
 
 
 def test_criterion_03_manifold_tracking(tracking_stack):
+    from predsens.bilevel import as_system_stack, lower_solve
+
     t0 = time.perf_counter()
+    traj = ps.integrate_ode(tracking_stack, ps.PredictiveSensitivity(),
+                            [1.0, 1.0], ps.IntegrationSettings("rk4", 1e-3, 2.0))
+    tracking = float(np.nanmax(ps.manifold_error(tracking_stack, traj, 1)))
+    # The tracking run starts on its manifold, an invariant subspace of the
+    # affine RK4 step, so its error is 0 at every dt; the RK4 order shows on
+    # the nonlinear bilevel flow from the lower branch at x1 = 0.3.
+    problem = cs.bilevel_example_problem()
+    stack = as_system_stack(problem)
+    x0 = np.array([0.3, lower_solve(problem, [0.3], [0.3])[0]])
     errs = []
-    for dt in (1e-3, 5e-4, 2.5e-4):
-        traj = ps.integrate_ode(tracking_stack, ps.PredictiveSensitivity(),
-                                [1.0, 1.0], ps.IntegrationSettings("rk4", dt, 2.0))
-        errs.append(float(np.nanmax(ps.manifold_error(tracking_stack, traj, 1))))
+    for dt in (8e-3, 4e-3, 2e-3):
+        flow = ps.integrate_ode(stack, ps.PredictiveSensitivity(), x0,
+                                ps.IntegrationSettings("rk4", dt, 1.0))
+        errs.append(float(np.nanmax(ps.manifold_error(stack, flow, 1))))
     elapsed = time.perf_counter() - t0
-    # 1e-14 floor: both errors sit at rounding level for this stack
-    improves = errs[2] * 15.0 <= errs[0] + 1e-14
     _report(3, "fast level rides its steady-state map under RK4",
-            [(f"max error {errs[0]:.1e} <= 1e-9 at dt=1e-3", errs[0] <= 1e-9),
-             (f">= 15x reduction after two halvings ({errs[0]:.1e} -> {errs[2]:.1e})",
-              improves),
+            [(f"max error {tracking:.1e} <= 1e-9 at dt=1e-3 on tracking", tracking <= 1e-9),
+             (f">= 15x reduction after two halvings on the bilevel flow "
+              f"({errs[0]:.1e} -> {errs[2]:.1e})", errs[2] * 15.0 <= errs[0]),
              (f"runtime {elapsed:.1f} s < 5 s", elapsed < 5.0)])
 
 

@@ -1,10 +1,39 @@
 """Fixed-step integration, divergence detection, and manifold diagnostics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import predsens as ps
-from predsens import conditioning, registry
+from predsens import conditioning, integrate, registry
+
+
+def _per_call(stack):
+    """The same stack without its ``constant_jacobian`` declarations, so
+    every step and every steady state is computed from the fields afresh."""
+    return ps.SystemStack([dataclasses.replace(s, constant_jacobian=False)
+                           for s in stack.subsystems])
+
+
+def _random_affine_stacks(seed, count):
+    """Affine stacks with N in {2, 3}, block dims 1..3 and constant terms;
+    diagonal blocks shifted by -2 I."""
+    rng = np.random.default_rng(seed)
+    stacks = []
+    for _ in range(count):
+        n = int(rng.integers(2, 4))
+        dims = [int(rng.integers(1, 4)) for _ in range(n)]
+        blocks = [[rng.normal(size=(dims[i], dims[j]))
+                   - (2.0 * np.eye(dims[i]) if i == j else 0.0)
+                   for j in range(n)] for i in range(n)]
+        stacks.append(ps.linear_stack(dims, blocks, [rng.normal(size=d) for d in dims]))
+    return stacks
+
+
+def _schemes(n):
+    return [ps.Plain(), ps.SingularPerturbation([1.0, 0.5, 0.25][:n]),
+            ps.PredictiveSensitivity(), ps.Preconditioned([1.0, 2.0, 0.5][:n])]
 
 
 def test_scalar_decay_rk4_matches_exponential():
@@ -208,3 +237,62 @@ def test_manifold_error_marks_unsolvable_samples_nan():
                             ps.IntegrationSettings("euler", 0.1, 0.3))
     err = ps.manifold_error(stack, traj, 1)
     assert np.all(np.isnan(err))
+
+
+def test_affine_step_map_matches_per_call_steps(monkeypatch):
+    """On affine stacks one step is the map x -> P x + q; runs through it
+    match runs that step through the field, in divergence, time grid and
+    states (1e-10 of the state scale), across growing state blocks."""
+    monkeypatch.setattr(integrate, "FIRST_STATE_ROWS", 3)
+    # slow level grows like e^{t/2}: crosses the threshold 10 near t = 4.6
+    unstable = ps.linear_stack([1, 1], [[[[0.5]], [[0.0]]], [[[1.0]], [[-1.0]]]])
+    diverged = 0
+    for stack in _random_affine_stacks(71, 5) + [unstable]:
+        x0 = np.linspace(-1.0, 1.0, stack.total_dim)
+        for scheme in _schemes(len(stack)):
+            for method in ("euler", "rk4"):
+                settings = ps.IntegrationSettings(method, 0.05, 6.0, divergence_threshold=10.0)
+                fast = ps.integrate_ode(stack, scheme, x0, settings)
+                ref = ps.integrate_ode(_per_call(stack), scheme, x0, settings)
+                assert (fast.diverged, fast.diverged_at) == (ref.diverged, ref.diverged_at)
+                assert np.array_equal(fast.times, ref.times)
+                assert np.array_equal(fast.times, [k * 0.05 for k in range(fast.times.size)])
+                assert fast.states.shape == ref.states.shape
+                scale = max(1.0, float(np.max(np.abs(ref.states))))
+                assert np.max(np.abs(fast.states - ref.states)) <= 1e-10 * scale
+                diverged += ref.diverged
+    assert diverged >= 8
+
+
+def test_overflowing_affine_run_ends_as_per_call_run(r2_stack):
+    """Without a threshold the unstable counterexample grows until a step
+    overflows; that step's stages overflow before its result would, and the
+    run must end there (diverged, at the same time) either way."""
+    settings = ps.IntegrationSettings("rk4", 0.5, 20000.0, divergence_threshold=np.inf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fast = ps.integrate_ode(r2_stack, ps.Plain(), [1.0, 0.0], settings)
+        ref = ps.integrate_ode(_per_call(r2_stack), ps.Plain(), [1.0, 0.0], settings)
+    assert ref.diverged and ref.diverged_at < 20000.0
+    assert (fast.diverged, fast.diverged_at) == (ref.diverged, ref.diverged_at)
+    assert fast.states.shape == ref.states.shape
+
+
+def test_affine_manifold_error_matches_per_sample_solves():
+    """The once-built steady-state maps give the per-sample Newton values
+    (1e-10) and the same NaN pattern; the third stack's fastest block is
+    zero, so its last level has no steady state."""
+    singular_tail = ps.linear_stack(
+        [1, 2, 1],
+        [[[[-1.0]], [[0.5, 0.0]], [[0.0]]],
+         [[[1.0], [0.0]], [[-2.0, 1.0], [0.0, -3.0]], [[0.0], [1.0]]],
+         [[[1.0]], [[0.0, 1.0]], [[0.0]]]],
+        [[0.0], [0.1, -0.2], [0.3]])
+    for stack in _random_affine_stacks(72, 2) + [singular_tail]:
+        x0 = np.linspace(-1.0, 1.0, stack.total_dim)
+        traj = ps.integrate_ode(stack, ps.Plain(), x0, ps.IntegrationSettings("rk4", 0.05, 2.0))
+        fast = ps.manifold_error(stack, traj, 0)
+        ref = ps.manifold_error(_per_call(stack), traj, 0)
+        assert np.array_equal(np.isnan(fast), np.isnan(ref))
+        both = ~np.isnan(ref)
+        assert np.max(np.abs(fast[both] - ref[both])) <= 1e-10
+    assert np.all(np.isnan(fast[:, 2])) and not np.any(np.isnan(fast[:, :2]))

@@ -1,6 +1,8 @@
 """Eigenvalue machinery, similarity structure, verdicts, and contraction
 certificates with their induced inverse and distance bounds."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -222,6 +224,32 @@ def test_contraction_input_validation(r2_stack):
     with pytest.raises(ValueError):
         ps.contraction_check(stack, [np.array([[1.0, 0.5], [0.0, 1.0]]), 1.0],
                              [1.0, 1.0], [np.zeros(4)])
+
+
+def test_contraction_needs_one_matrix_per_level(r2_stack):
+    """A wrong number of P or Q matrices is reported as such, before any of
+    them is checked against the level dimensions."""
+    message = r"need one P and one Q per subsystem \(2\)"
+    for p, q in (([1.0, 1.0, 1.0], [2.0, 1.0]), ([1.0], [2.0, 1.0]),
+                 ([1.0, 1.0], [2.0, 1.0, 1.0]), ([1.0, 1.0], [2.0])):
+        with pytest.raises(ValueError, match=message):
+            ps.contraction_check(r2_stack, p, q, [[1.0, 0.5]])
+
+
+def test_affine_margins_match_per_point_solves(r2_stack):
+    """The margins read from the once-built steady-state maps agree with
+    per-point steady-state solves and reduced fields to 1e-12."""
+    rng = np.random.default_rng(10)
+    stacks = [r2_stack, registry.get_stack("linear3"), cs.cascade_stack(cs.CascadeParams(), 1.0)]
+    for stack in stacks:
+        per_point = ps.SystemStack([dataclasses.replace(s, constant_jacobian=False)
+                                    for s in stack.subsystems])
+        points = [rng.uniform(-2.0, 2.0, stack.total_dim) for _ in range(20)]
+        cert = ps.contraction_check(stack, [1.0] * len(stack), [1.0] * len(stack), points)
+        fast = ps.distance_bound_margins(stack, cert, points)
+        ref = ps.distance_bound_margins(per_point, cert, points)
+        assert fast.shape == ref.shape == (20, len(stack))
+        assert np.max(np.abs(fast - ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(ref))))
 
 
 def test_distance_bounds_on_contractive_points(r2_stack):
