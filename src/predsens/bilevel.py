@@ -185,13 +185,13 @@ def solve_discrete(problem: BilevelProblem, method: str, tau: float, x0,
     Leaving ``DIVERGENCE_CAP``, or reaching a singular lower Hessian (kept
     with a NaN residual), ends the run as diverged; one at ``x0`` raises.
     """
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    if not 0 < tau < np.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
     if method not in ("ps", "gda"):
         raise ValueError(f"method must be 'ps' or 'gda', got {method!r}")
     if method == "gda":
-        if eps is None or eps <= 0:
-            raise ValueError("gda needs a positive eps")
+        if eps is None or not 0 < eps < np.inf:
+            raise ValueError(f"gda needs a positive, finite eps, got {eps}")
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.size != problem.n1 + problem.n2:
         raise ValueError(f"x0 has {x0.size} entries, expected {problem.n1 + problem.n2}")

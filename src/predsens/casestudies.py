@@ -1,7 +1,8 @@
 """Bundled applications: cascade PI control and a converter RLC filter.
 
-Both build ordinary :class:`SystemStack` objects so every conditioning,
-stability check, and integrator in the package applies to them unchanged.
+Both stacks are affine and built by :func:`~predsens.model.linear_stack` from
+their blocks and offsets, so every conditioning, stability check, and
+integrator in the package applies to them unchanged.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 from .bilevel import BilevelProblem
 from .conditioning import Scheme
 from .integrate import IntegrationSettings, Trajectory, integrate_ode
-from .model import Array, Subsystem, SystemStack, write_csv
+from .model import Array, SystemStack, linear_stack, write_csv
 
 # Rotation by +90 degrees; multiplies a rectangular-coordinate phasor by j.
 ROT90 = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -110,19 +111,14 @@ def cascade_matrices(params: CascadeParams) -> CascadeMatrices:
 
 
 def cascade_stack(params: CascadeParams, x1_ref: float = 0.0) -> SystemStack:
-    """Two-level affine stack: slow block (x1, zeta1), fast block (x2, zeta2)."""
+    """Two-level affine stack: slow block (x1, zeta1), fast block (x2, zeta2).
+
+    The blocks are those of :func:`cascade_matrices`' ``A`` and the offsets
+    ``B * x1_ref``, built by :func:`~predsens.model.linear_stack`."""
     mats = cascade_matrices(params)
     a, b = mats.A, mats.B
-
-    def make(rows: slice, dim: int) -> Subsystem:
-        a_rows = a[rows]
-        b_rows = b[rows]
-        blocks = [a_rows[:, :2], a_rows[:, 2:]]
-        return Subsystem(dim,
-                         lambda x: a_rows @ x + b_rows * x1_ref,
-                         lambda x: list(blocks), constant_jacobian=True)
-
-    return SystemStack([make(slice(0, 2), 2), make(slice(2, 4), 2)])
+    return linear_stack([2, 2], [[a[:2, :2], a[:2, 2:]], [a[2:, :2], a[2:, 2:]]],
+                        [b[:2] * x1_ref, b[2:] * x1_ref])
 
 
 def cascade_equilibrium(params: CascadeParams, x1_ref: float) -> Array:
@@ -163,50 +159,36 @@ class RlcParams:
 
 
 def rlc_stack(params: RlcParams) -> SystemStack:
-    """Slow block (v, zeta_v), fast block (i, zeta_i), all analytic Jacobians.
+    """Slow block (v, zeta_v), fast block (i, zeta_i), built by
+    :func:`~predsens.model.linear_stack`.
 
     The inner current reference is
     i_ref = rot90 * omega * C * v + C * (-k_pv (v - v_ref) - k_iv zeta_v),
     and the modulated voltage cancels the R, L coupling so the current loop
-    reduces to its PI dynamics. The stack is affine, so both subsystems
-    declare ``constant_jacobian``.
+    reduces to its PI dynamics:
+    dv = i / C - rot90 * omega * v, dzeta_v = v - v_ref,
+    di = -k_pi (i - i_ref) - k_ii zeta_i, dzeta_i = i - i_ref.
+    The offsets are these derivatives at the zero state.
     """
     p = params
     vref = np.asarray(p.v_ref, dtype=float)
     jw = ROT90 * p.omega
     i2 = np.eye(2)
+    z2 = np.zeros((2, 2))
 
-    # d(i_ref)/dv and d(i_ref)/dzeta_v
+    # d(i_ref)/dv, d(i_ref)/dzeta_v, and i_ref at the zero state
     diref_dv = p.c * (jw - p.k_pv * i2)
     diref_dz = -p.c * p.k_iv * i2
+    r0 = p.c * (p.k_pv * vref)
 
-    def i_ref(v: Array, zeta_v: Array) -> Array:
-        return p.c * (jw @ v) + p.c * (-p.k_pv * (v - vref) - p.k_iv * zeta_v)
-
-    def f_slow(x: Array) -> Array:
-        v, zeta_v, cur = x[0:2], x[2:4], x[4:6]
-        dv = cur / p.c - jw @ v
-        dz = v - vref
-        return np.concatenate([dv, dz])
-
-    slow_blocks = [np.block([[-jw, np.zeros((2, 2))], [i2, np.zeros((2, 2))]]),
-                   np.block([[i2 / p.c, np.zeros((2, 2))], [np.zeros((2, 4))]])]
-
-    def f_fast(x: Array) -> Array:
-        v, zeta_v, cur, zeta_i = x[0:2], x[2:4], x[4:6], x[6:8]
-        ref = i_ref(v, zeta_v)
-        di = -p.k_pi * (cur - ref) - p.k_ii * zeta_i
-        dz = cur - ref
-        return np.concatenate([di, dz])
-
+    slow_blocks = [np.block([[-jw, z2], [i2, z2]]),
+                   np.block([[i2 / p.c, z2], [z2, z2]])]
     fast_blocks = [np.block([[p.k_pi * diref_dv, p.k_pi * diref_dz],
                              [-diref_dv, -diref_dz]]),
-                   np.block([[-p.k_pi * i2, -p.k_ii * i2], [i2, np.zeros((2, 2))]])]
-
-    return SystemStack([
-        Subsystem(4, f_slow, lambda x: list(slow_blocks), constant_jacobian=True),
-        Subsystem(4, f_fast, lambda x: list(fast_blocks), constant_jacobian=True),
-    ])
+                   np.block([[-p.k_pi * i2, -p.k_ii * i2], [i2, z2]])]
+    offsets = [np.concatenate([np.zeros(2), -vref]),
+               np.concatenate([p.k_pi * r0, -r0])]
+    return linear_stack([4, 4], [slow_blocks, fast_blocks], offsets)
 
 
 def rlc_equilibrium(params: RlcParams) -> Array:

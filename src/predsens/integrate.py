@@ -13,17 +13,16 @@ import numpy as np
 
 from . import conditioning
 from .conditioning import Scheme, is_affine, make_conditioned_field
-from .errors import ConvergenceError, EvaluationError, SingularMatrixError
+from .errors import ConvergenceError, SingularMatrixError
 from .model import Array, SystemStack, as_flat
 from .sensitivity import steady_state_map, steady_state_solve
 
 DEFAULT_DIVERGENCE_THRESHOLD = 1e6
 
-#: The step map is applied while the state stays within this max-norm.
-#: Beyond it, where the stages of a step through the field could overflow,
-#: every step (this one included) goes through the field, so a run that
-#: overflows ends as it would without the map.
-STEP_MAP_LIMIT = 1e150
+#: A state beyond this max-norm counts as diverged whatever the threshold,
+#: so a run ends before the stages of a step through the field could
+#: overflow.
+OVERFLOW_LIMIT = 1e150
 
 #: States are written into a preallocated block of this many rows; a full
 #: block is replaced by one four times larger, capped at the whole grid, so a
@@ -41,13 +40,15 @@ class IntegrationSettings:
     def __post_init__(self):
         if self.method not in ("euler", "rk4"):
             raise ValueError(f"method must be 'euler' or 'rk4', got {self.method!r}")
-        if self.dt <= 0 or self.t_end <= 0:
-            raise ValueError("dt and t_end must be positive")
+        if not (0 < self.dt < np.inf and 0 < self.t_end < np.inf):
+            raise ValueError(f"dt and t_end must be positive and finite, "
+                             f"got {self.dt} and {self.t_end}")
         steps = self.t_end / self.dt
-        if abs(steps - round(steps)) > 1e-9 * steps:
+        if not steps < np.inf or abs(steps - round(steps)) > 1e-9 * steps:
             raise ValueError(f"t_end={self.t_end} is not a whole number of dt={self.dt} steps")
-        if self.divergence_threshold <= 0:
-            raise ValueError("divergence_threshold must be positive")
+        if not self.divergence_threshold > 0:  # NaN fails the comparison too
+            raise ValueError(f"divergence_threshold must be positive (inf allowed), "
+                             f"got {self.divergence_threshold}")
 
 
 @dataclass
@@ -55,8 +56,8 @@ class Trajectory:
     """Sampled states on a constant time grid.
 
     ``states`` has one row per sample; ``diverged`` is set when the max-norm
-    passed the threshold or a state went non-finite, with ``diverged_at``
-    the detection time.
+    passed the threshold or ``OVERFLOW_LIMIT``, or a state went non-finite,
+    with ``diverged_at`` the detection time.
     """
 
     times: Array
@@ -81,16 +82,11 @@ def _rk4_step(f, x: Array, dt: float) -> Array:
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _step_map(f, step, dt: float, dim: int) -> tuple[Array, Array] | None:
+def _step_map(f, step, dt: float, dim: int) -> tuple[Array, Array]:
     """``(P, q)`` with ``step(f, x, dt) == P @ x + q`` for an affine ``f``,
-    built from ``dim + 1`` steps of ``f`` itself; None when they are not all
-    finite."""
-    try:
-        q = step(f, np.zeros(dim), dt)
-        p = np.column_stack([step(f, unit, dt) - q for unit in np.eye(dim)])
-    except EvaluationError:
-        return None
-    return (p, q) if np.isfinite(p).all() and np.isfinite(q).all() else None
+    built from ``dim + 1`` steps of ``f`` itself."""
+    q = step(f, np.zeros(dim), dt)
+    return np.column_stack([step(f, unit, dt) - q for unit in np.eye(dim)]), q
 
 
 def integrate_ode(stack: SystemStack, scheme: Scheme, x0,
@@ -98,13 +94,14 @@ def integrate_ode(stack: SystemStack, scheme: Scheme, x0,
     """Integrate the conditioned field from ``x0`` on a fixed grid.
 
     Stops early (diverged=True) once any state exceeds the divergence
-    threshold in max-norm or turns non-finite. Scheme evaluation failures
-    propagate with the failing time attached as ``exc.time``; a failure
-    found while compiling an affine field is reported at time 0.0.
+    threshold or ``OVERFLOW_LIMIT`` in max-norm, or turns non-finite. Scheme
+    evaluation failures propagate with the failing time attached as
+    ``exc.time``; a failure found while compiling an affine field is
+    reported at time 0.0.
 
     When the conditioned field is affine (:func:`~predsens.conditioning.is_affine`)
     one step is the affine map ``x -> P x + q``, built once from the field and
-    iterated while the state stays within ``STEP_MAP_LIMIT``.
+    iterated on every step of the run.
     """
     x = as_flat(stack, x0)
     if not np.all(np.isfinite(x)):
@@ -118,7 +115,10 @@ def integrate_ode(stack: SystemStack, scheme: Scheme, x0,
     step = _rk4_step if settings.method == "rk4" else _euler_step
     n_steps = int(round(settings.t_end / settings.dt))
     dt = settings.dt
-    step_map = _step_map(f, step, dt, x.size) if is_affine(stack, cond) else None
+    affine = is_affine(stack, cond)
+    if affine:
+        p, q = _step_map(f, step, dt, x.size)
+    limit = min(settings.divergence_threshold, OVERFLOW_LIMIT)
 
     rows = n_steps + 1
     states = np.empty((min(rows, FIRST_STATE_ROWS), x.size))
@@ -128,21 +128,18 @@ def integrate_ode(stack: SystemStack, scheme: Scheme, x0,
     diverged_at = None
     for k in range(n_steps):
         t_next = (k + 1) * dt
-        if step_map is not None:
-            x_new = step_map[0] @ x + step_map[1]
-            size = np.abs(x_new).max()
-            if not size <= STEP_MAP_LIMIT:  # NaN fails the comparison too
-                step_map = None
-        if step_map is None:
+        if affine:
+            x_new = p @ x + q
+        else:
             try:
                 x_new = step(f, x, dt)
             except (SingularMatrixError, ConvergenceError) as exc:
                 exc.time = t_next  # type: ignore[attr-defined]
                 raise
-            size = np.abs(x_new).max()
-            if not np.isfinite(size):
-                diverged, diverged_at = True, t_next
-                break
+        size = np.abs(x_new).max()
+        if not size < np.inf:  # NaN fails the comparison too
+            diverged, diverged_at = True, t_next
+            break
         x = x_new
         if count == len(states):
             grown = np.empty((min(rows, 4 * count), x.size))
@@ -150,7 +147,7 @@ def integrate_ode(stack: SystemStack, scheme: Scheme, x0,
             states = grown
         states[count] = x
         count += 1
-        if size > settings.divergence_threshold:
+        if size > limit:
             diverged, diverged_at = True, t_next
             break
     return Trajectory(times=np.arange(count) * dt,

@@ -188,6 +188,12 @@ def test_solve_discrete_validation(example):
         ps.solve_discrete(example, "ps", -0.1, [0.0, 0.0])
     with pytest.raises(ValueError):
         ps.solve_discrete(example, "gda", 0.1, [0.0, 0.0])  # missing eps
+    for tau in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            ps.solve_discrete(example, "ps", tau, [0.0, 0.0])
+    for eps in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            ps.solve_discrete(example, "gda", 0.1, [0.0, 0.0], eps=eps)
     with pytest.raises(ValueError):
         ps.solve_discrete(example, "newton", 0.1, [0.0, 0.0])
 

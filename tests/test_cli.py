@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import predsens as ps
+from predsens import registry
 from predsens.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, parse_linear_stack,
                           parse_scheme, run, serialize_linear_stack)
 
@@ -116,6 +117,18 @@ def test_linear_stack_round_trip():
     assert np.array_equal(stack.field(x), again.field(x))
 
 
+@pytest.mark.parametrize("name", ["r2", "tracking", "linear3", "cascade", "rlc"])
+def test_builtin_affine_stack_round_trip(name):
+    """A serialized builtin stack evaluates bit for bit like the original."""
+    stack = registry.get_stack(name)
+    again = parse_linear_stack(serialize_linear_stack(stack))
+    for x in np.random.default_rng(8).normal(scale=100.0, size=(5, stack.total_dim)):
+        assert np.array_equal(stack.field(x), again.field(x))
+        for sub, sub_again in zip(stack.subsystems, again.subsystems):
+            for block, block_again in zip(sub.jacobian(x), sub_again.jacobian(x)):
+                assert np.array_equal(block, block_again)
+
+
 def test_stack_file_input(tmp_path):
     path = tmp_path / "stack.json"
     path.write_text(json.dumps(R2_CONFIG))
@@ -155,6 +168,27 @@ def test_config_errors_exit_2(tmp_path):
     assert run(["simulate", "--stack", "r2", "--scheme", "predsens", "--dt", "0.4",
                 "--t-end", "1", "--out", str(tmp_path / "short")]) == EXIT_CONFIG
     assert not (tmp_path / "short").exists()
+    # non-finite settings
+    assert run(["simulate", "--stack", "r2", "--t-end", "inf",
+                "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert run(["simulate", "--stack", "r2", "--divergence-threshold", "nan",
+                "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert run(["bilevel", "--tau", "nan", "--out", str(tmp_path)]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("args", [
+    ["--stack", "r2", "--scheme", "singular:1,0.6", "--dt", "0.05", "--t-end", "10000"],
+    ["--stack", "linear3", "--scheme", "plain", "--dt", "0.5", "--t-end", "5000"],
+    ["--stack", "bilevel-example", "--scheme", "predsens", "--dt", "0.5", "--t-end", "5000"]])
+def test_unbounded_run_ends_diverged_before_overflow(tmp_path, capsys, args):
+    """Without a divergence threshold a growing run (affine or not) ends as
+    diverged once it passes OVERFLOW_LIMIT, with no warning or error."""
+    assert run(["simulate", *args, "--divergence-threshold", "inf",
+                "--out", str(tmp_path)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    metrics = json.loads((tmp_path / "metrics.json").read_text())
+    assert metrics["diverged"] is True
+    assert metrics["t_final"] < float(args[-1])
 
 
 def test_numerical_errors_exit_3(tmp_path):

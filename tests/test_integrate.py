@@ -154,6 +154,14 @@ def test_settings_validation():
         ps.IntegrationSettings("rk4", 0.0, 1.0)
     with pytest.raises(ValueError):
         ps.IntegrationSettings("rk4", 2.0, 1.0)
+    # non-finite dt or t_end, and a step count that overflows
+    for dt, t_end in ((np.nan, 1.0), (np.inf, 1.0), (0.1, np.inf), (0.1, np.nan),
+                      (1e-300, 1e300)):
+        with pytest.raises(ValueError):
+            ps.IntegrationSettings("rk4", dt, t_end)
+    with pytest.raises(ValueError):
+        ps.IntegrationSettings("rk4", 0.1, 1.0, divergence_threshold=np.nan)
+    ps.IntegrationSettings("rk4", 0.1, 1.0, divergence_threshold=np.inf)
     with pytest.raises(ValueError):
         ps.integrate_ode(registry.get_stack("r2"), ps.Plain(), [np.nan, 0.0],
                          ps.IntegrationSettings("rk4", 0.1, 1.0))
@@ -265,14 +273,15 @@ def test_affine_step_map_matches_per_call_steps(monkeypatch):
 
 
 def test_overflowing_affine_run_ends_as_per_call_run(r2_stack):
-    """Without a threshold the unstable counterexample grows until a step
-    overflows; that step's stages overflow before its result would, and the
-    run must end there (diverged, at the same time) either way."""
+    """Without a threshold the unstable counterexample grows until it passes
+    ``OVERFLOW_LIMIT``, before any step could overflow; the run ends there
+    (diverged, at the same time) whether it steps through the map or the
+    field."""
     settings = ps.IntegrationSettings("rk4", 0.5, 20000.0, divergence_threshold=np.inf)
-    with np.errstate(over="ignore", invalid="ignore"):
-        fast = ps.integrate_ode(r2_stack, ps.Plain(), [1.0, 0.0], settings)
-        ref = ps.integrate_ode(_per_call(r2_stack), ps.Plain(), [1.0, 0.0], settings)
+    fast = ps.integrate_ode(r2_stack, ps.Plain(), [1.0, 0.0], settings)
+    ref = ps.integrate_ode(_per_call(r2_stack), ps.Plain(), [1.0, 0.0], settings)
     assert ref.diverged and ref.diverged_at < 20000.0
+    assert integrate.OVERFLOW_LIMIT < np.abs(ref.final_state).max() < np.inf
     assert (fast.diverged, fast.diverged_at) == (ref.diverged, ref.diverged_at)
     assert fast.states.shape == ref.states.shape
 
