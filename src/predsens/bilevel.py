@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import SingularMatrixError
 from .model import Array, Subsystem, SystemStack, finite_difference_jacobian, write_csv
-from .sensitivity import STEADY_STATE_TOL, _newton, solve_checked
+from .sensitivity import STEADY_STATE_TOL, solve_checked, steady_state_solve
 
 Vec = np.ndarray
 Grad = Callable[[Vec, Vec], Vec]
@@ -82,13 +82,11 @@ def total_gradient(problem: BilevelProblem, x1, x2) -> Vec:
 
 
 def lower_solve(problem: BilevelProblem, x1, guess) -> Vec:
-    """Newton solve of grad2 F2(x1, .) = 0 from ``guess``."""
+    """Solve grad2 F2(x1, .) = 0 from ``guess``: the steady state of the fast
+    level of :func:`as_system_stack` at upstream block ``x1``."""
     x1 = _vec(x1, problem.n1, "x1")
     g = _vec(guess, problem.n2, "guess")
-    return _newton(
-        lambda y: np.asarray(problem.grad_lower_x2(x1, y), dtype=float).reshape(-1),
-        lambda y: problem.hess22(x1, y),
-        g, what="lower-level solve")
+    return steady_state_solve(as_system_stack(problem), 1, np.concatenate([x1, g]))[problem.n1:]
 
 
 def reduced_hessian_fd(problem: BilevelProblem, x1, x2_guess=None) -> Array:
@@ -192,9 +190,13 @@ def solve_discrete(problem: BilevelProblem, method: str, tau: float, x0,
     if method == "gda":
         if eps is None or not 0 < eps < np.inf:
             raise ValueError(f"gda needs a positive, finite eps, got {eps}")
+    if np.isnan(tol):
+        raise ValueError("tol must be a number, got nan")
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.size != problem.n1 + problem.n2:
         raise ValueError(f"x0 has {x0.size} entries, expected {problem.n1 + problem.n2}")
+    if not np.all(np.isfinite(x0)):
+        raise ValueError(f"x0 must be finite, got {x0.tolist()}")
     x1 = x0[:problem.n1].copy()
     x2 = x0[problem.n1:].copy()
 

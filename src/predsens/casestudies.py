@@ -8,7 +8,7 @@ integrator in the package applies to them unchanged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -152,6 +152,9 @@ class RlcParams:
     k_ii: float = 100.0
 
     def __post_init__(self):
+        for f in fields(self):
+            if not np.all(np.isfinite(getattr(self, f.name))):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if min(self.r, self.l, self.c) <= 0:
             raise ValueError("R, L, and C must be positive")
         if self.omega < 0:

@@ -45,13 +45,14 @@ def _floats(text: str, what: str) -> list[float]:
         raise ConfigError(f"could not parse {what} from {text!r}") from None
 
 
-def parse_scheme(text: str, n_levels: int, stack: SystemStack, x0) -> Scheme:
+def parse_scheme(text: str, stack: SystemStack, x0) -> Scheme:
     """Parse the scheme grammar:
     plain | singular:<eps...> | predsens | precond:<h...> | approx:<frozen|noise:sigma>
 
     ``singular`` accepts either all N epsilons (the leading one must then be
     1) or the trailing N-1 with the leading 1 implied.
     """
+    n_levels = len(stack)
     head, _, rest = text.partition(":")
     if head == "plain":
         return Plain()
@@ -146,7 +147,7 @@ def _eig_pairs(mat) -> list[list[float]]:
 def _cmd_simulate(args) -> int:
     stack, x0_default, _ = _load_stack(args)
     x0 = np.asarray(_floats(args.x0, "--x0"), dtype=float) if args.x0 else x0_default
-    scheme = parse_scheme(args.scheme, len(stack), stack, x0)
+    scheme = parse_scheme(args.scheme, stack, x0)
     settings = IntegrationSettings(method=args.method, dt=args.dt, t_end=args.t_end,
                                    divergence_threshold=args.divergence_threshold)
     trajectory = integrate_ode(stack, scheme, x0, settings)
@@ -172,7 +173,7 @@ def _cmd_stability(args) -> int:
         point = equilibrium
     else:
         raise ConfigError("custom stacks need an explicit --point")
-    scheme = parse_scheme(args.scheme, len(stack), stack, point)
+    scheme = parse_scheme(args.scheme, stack, point)
     report = classify_local_stability(stack, scheme, point, tol=args.tol)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -208,7 +209,7 @@ def _cmd_cascade(args) -> int:
 def _cmd_rlc(args) -> int:
     params = casestudies.RlcParams(k_pi=args.kpi, k_ii=args.kii)
     stack = casestudies.rlc_stack(params)
-    scheme = parse_scheme(args.scheme, len(stack), stack, np.zeros(stack.total_dim))
+    scheme = parse_scheme(args.scheme, stack, np.zeros(stack.total_dim))
     settings = IntegrationSettings(method="rk4", dt=args.dt, t_end=args.t_end)
     trajectory, metrics = casestudies.run_black_start(params, scheme, settings)
     out = Path(args.out)

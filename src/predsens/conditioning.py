@@ -10,6 +10,7 @@ place that maps a scheme to them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
@@ -39,7 +40,7 @@ class SingularPerturbation:
         eps = tuple(float(e) for e in epsilons)
         if not eps or eps[0] != 1.0:
             raise ValueError(f"epsilons must start at 1, got {eps}")
-        if any(e <= 0 for e in eps):
+        if not all(e > 0 for e in eps):  # NaN fails the comparison too
             raise ValueError(f"epsilons must be positive, got {eps}")
         if any(b > a for a, b in zip(eps, eps[1:])):
             raise ValueError(f"epsilons must be nonincreasing, got {eps}")
@@ -135,6 +136,8 @@ def compile_scheme(stack: SystemStack, scheme: Scheme | Conditioner) -> Conditio
     mats = []
     for i, (g, d) in enumerate(zip(scheme.gains, stack.dims)):
         arr = np.asarray(g, dtype=float)
+        if not (math.isfinite(arr) if arr.ndim == 0 else np.isfinite(arr).all()):
+            raise ValueError(f"gain {i} must be finite, got {g}")
         if arr.ndim == 0:
             if arr == 0.0:
                 raise ValueError(f"gain {i} must be invertible, got 0")

@@ -170,27 +170,26 @@ def manifold_error(stack: SystemStack, trajectory: Trajectory, level: int) -> Ar
     if not 0 <= level < n:
         raise IndexError(f"level {level} out of range for {n} subsystems")
     states = trajectory.states
-    samples = states.shape[0]
-    out = np.full((samples, n - level), np.nan)
+    out = np.full((states.shape[0], n - level), np.nan)
+    off = stack.offsets
     if stack.constant_jacobian:
         for c, i in enumerate(range(level, n)):
             try:
                 steady = steady_state_map(stack, i)
             except (SingularMatrixError, ConvergenceError):
                 continue
-            block = states[:, stack.offsets[i]:stack.offsets[i + 1]]
+            block = states[:, off[i]:off[i + 1]]
             out[:, c] = np.linalg.norm(block - steady(states)[:, :stack.dims[i]], axis=1)
         return out
     warm: list[Array | None] = [None] * (n - level)
-    for k in range(samples):
-        blocks = stack.split(states[k])
+    for k, x in enumerate(states):
         for c, i in enumerate(range(level, n)):
-            guess = warm[c] if warm[c] is not None else np.concatenate(blocks[i:])
+            start = x if warm[c] is None else np.concatenate([x[:off[i]], warm[c]])
             try:
-                solved = steady_state_solve(stack, i, blocks[:i], guess)
+                solved = steady_state_solve(stack, i, start)
             except (SingularMatrixError, ConvergenceError):
                 warm[c] = None
                 continue
-            warm[c] = np.concatenate(solved)
-            out[k, c] = float(np.linalg.norm(blocks[i] - solved[0]))
+            warm[c] = solved[off[i]:]
+            out[k, c] = float(np.linalg.norm((x - solved)[off[i]:off[i + 1]]))
     return out

@@ -80,10 +80,6 @@ class SystemStack:
         stack is affine."""
         return all(s.constant_jacobian for s in self.subsystems)
 
-    def split(self, x: Array) -> list[Array]:
-        x = as_flat(self, x)
-        return [x[self.offsets[i]:self.offsets[i + 1]] for i in range(len(self))]
-
     def field_block(self, i: int, x: Array) -> Array:
         out = np.asarray(self.subsystems[i].field(x), dtype=float).reshape(-1)
         if out.shape != (self.dims[i],):

@@ -141,30 +141,19 @@ def _newton(residual, jacobian, y0: Array, what: str) -> Array:
         f"(last residual {rn:.3e})", residual=rn, iterations=NEWTON_MAX_ITER)
 
 
-def steady_state_solve(stack: SystemStack, level: int, upstream, guess) -> list[Array]:
+def steady_state_solve(stack: SystemStack, level: int, point) -> Array:
     """Solve f_j = 0 jointly for all levels j >= ``level``.
 
-    ``upstream`` holds the fixed blocks x_0 .. x_{level-1}; ``guess`` is the
-    flat starting state of the solved levels. Returns the solved blocks in
-    level order. The joint root coincides with the nested steady-state maps
-    of the individual levels.
+    ``point`` is a flat state: its blocks x_0 .. x_{level-1} stay fixed and
+    its blocks from ``level`` on are the Newton start. Returns the flat
+    point with those blocks at their joint root, which coincides with the
+    nested steady-state maps of the individual levels.
     """
     n = len(stack)
     if not 0 <= level < n:
         raise IndexError(f"level {level} out of range for {n} subsystems")
-    up = [np.asarray(b, dtype=float).reshape(-1) for b in upstream]
-    if len(up) != level:
-        raise ValueError(f"expected {level} upstream blocks, got {len(up)}")
-    for j, b in enumerate(up):
-        if b.size != stack.dims[j]:
-            raise ValueError(f"upstream block {j} has length {b.size}, "
-                             f"expected {stack.dims[j]}")
-    head = np.concatenate(up) if up else np.zeros(0)
-    tail_dims = stack.dims[level:]
-    tail_size = int(np.sum(tail_dims))
-    g = np.asarray(guess, dtype=float)
-    if g.shape != (tail_size,):
-        raise ValueError(f"guess has shape {g.shape}, expected ({tail_size},)")
+    start = as_flat(stack, point)
+    head = start[:stack.offsets[level]]
 
     def compose(y: Array) -> Array:
         return np.concatenate([head, y])
@@ -181,9 +170,9 @@ def steady_state_solve(stack: SystemStack, level: int, upstream, guess) -> list[
             rows.append(np.hstack(row[level:]))
         return np.vstack(rows)
 
-    y = _newton(residual, jac, g, what=f"steady state from level {level}")
-    cuts = np.concatenate([[0], np.cumsum(tail_dims)]).astype(int)
-    return [y[cuts[k]:cuts[k + 1]] for k in range(len(tail_dims))]
+    y = _newton(residual, jac, start[stack.offsets[level]:],
+                what=f"steady state from level {level}")
+    return compose(y)
 
 
 def steady_state_map(stack: SystemStack, level: int) -> Callable[[Array], Array]:
@@ -194,34 +183,26 @@ def steady_state_map(stack: SystemStack, level: int) -> Callable[[Array], Array]
     blocks.
 
     The map is ``x -> G x_up + h``: ``h`` is one :func:`steady_state_solve`
-    at the origin and each column of ``G`` one at a unit upstream vector,
-    minus ``h``. Their errors propagate.
+    from the zero point and each column of ``G`` one from a unit point (one
+    upstream coordinate 1, all else 0), minus ``h``. Their errors propagate.
     """
-    off = stack.offsets
-    guess = np.zeros(stack.total_dim - off[level])
-
-    def solve(head: Array) -> Array:
-        upstream = [head[off[j]:off[j + 1]] for j in range(level)]
-        return np.concatenate(steady_state_solve(stack, level, upstream, guess))
-
-    h = solve(np.zeros(off[level]))
-    g = np.empty((h.size, off[level]))
-    for k, unit in enumerate(np.eye(off[level])):
-        g[:, k] = solve(unit) - h
-    return lambda states: states[:, :off[level]] @ g.T + h
+    cut = stack.offsets[level]
+    h = steady_state_solve(stack, level, np.zeros(stack.total_dim))[cut:]
+    g = np.empty((h.size, cut))
+    for k, unit in enumerate(np.eye(cut, stack.total_dim)):
+        g[:, k] = steady_state_solve(stack, level, unit)[cut:] - h
+    return lambda states: states[:, :cut] @ g.T + h
 
 
-def reduced_field(stack: SystemStack, level: int, partial_point, guess) -> Array:
-    """f_level evaluated with all faster blocks at their steady states.
-
-    ``partial_point`` holds blocks x_0 .. x_level.
+def reduced_field(stack: SystemStack, level: int, point) -> Array:
+    """f_level at the flat ``point`` with all faster levels at their steady
+    states, solved from the point's own faster blocks; the fastest level is
+    evaluated at the point as it is.
     """
     n = len(stack)
-    blocks = [np.asarray(b, dtype=float).reshape(-1) for b in partial_point]
-    if len(blocks) != level + 1:
-        raise ValueError(f"expected {level + 1} blocks, got {len(blocks)}")
-    if level == n - 1:
-        return stack.field_block(level, np.concatenate(blocks))
-    solved = steady_state_solve(stack, level + 1, blocks, guess)
-    x = np.concatenate(blocks + solved)
+    if not 0 <= level < n:
+        raise IndexError(f"level {level} out of range for {n} subsystems")
+    x = as_flat(stack, point)
+    if level + 1 < n:
+        x = steady_state_solve(stack, level + 1, x)
     return stack.field_block(level, x)

@@ -8,6 +8,7 @@ not flap at analytic stability boundaries.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -69,6 +70,20 @@ def jacobian_at(stack: SystemStack, scheme: Scheme | Conditioner, point) -> Arra
     return conditioned_jacobian(stack, compile_scheme(stack, scheme), as_flat(stack, point))[0]
 
 
+def _steady_point(stack: SystemStack, point, tol: float) -> Array:
+    """``point`` as a flat state, checked to be finite with ``norm(f) <= tol``."""
+    x = as_flat(stack, point)
+    if not np.isfinite(x).all():
+        raise ValueError(f"point must be finite, got {x.tolist()}")
+    if math.isnan(tol):
+        raise ValueError("tol must be a number, got nan")
+    fnorm = float(np.linalg.norm(stack.field(x)))
+    if not fnorm <= tol:
+        raise NotSteadyStateError(
+            f"point is not a steady state (residual {fnorm:.3e} > {tol:.1e})")
+    return x
+
+
 @dataclass
 class BlockTriangularForm:
     """Upper-block-triangular similarity image of the conditioned Jacobian.
@@ -87,15 +102,11 @@ class BlockTriangularForm:
 def block_triangular_form(stack: SystemStack, point) -> BlockTriangularForm:
     """Triangularize the conditioned Jacobian at a steady state.
 
-    Requires ``norm(f(point)) <= STEADY_STATE_TOL``. The returned matrix has
-    the blocks D[i][i] on its diagonal, which at a steady state equal the
-    Jacobians of the reduced-order fields.
+    Requires a finite point with ``norm(f(point)) <= STEADY_STATE_TOL``. The
+    returned matrix has the blocks D[i][i] on its diagonal, which at a
+    steady state equal the Jacobians of the reduced-order fields.
     """
-    x = as_flat(stack, point)
-    fnorm = float(np.linalg.norm(stack.field(x)))
-    if fnorm > STEADY_STATE_TOL:
-        raise NotSteadyStateError(
-            f"point is not a steady state (residual {fnorm:.3e} > {STEADY_STATE_TOL:.1e})")
+    x = _steady_point(stack, point, STEADY_STATE_TOL)
     table = total_derivative_table(stack, x)
     n = len(stack)
     off = stack.offsets
@@ -149,13 +160,10 @@ def classify_local_stability(stack: SystemStack, scheme: Scheme, steady_point,
     For the conditionings with exact sensitivities (predictive sensitivity
     and preconditioned) the report also carries the eigenvalues of the
     per-level blocks H_i D[i][i], which must agree with the full
-    spectrum as a multiset (checked to 1e-6).
+    spectrum as a multiset (checked to 1e-6). A non-finite point or a NaN
+    ``tol`` raises ``ValueError``.
     """
-    x = as_flat(stack, steady_point)
-    fnorm = float(np.linalg.norm(stack.field(x)))
-    if fnorm > tol:
-        raise NotSteadyStateError(
-            f"point is not a steady state (residual {fnorm:.3e} > {tol:.1e})")
+    x = _steady_point(stack, steady_point, tol)
     cond = compile_scheme(stack, scheme)
     jac = jacobian_at(stack, cond, x)
     lams = _sorted_eigs(jac)
@@ -274,9 +282,9 @@ def distance_bound_margins(stack: SystemStack, certificate: ContractionCertifica
     n = len(stack)
     pts = [as_flat(stack, pt) for pt in points]
     margins = np.empty((len(pts), n))
+    off = stack.offsets
     if stack.constant_jacobian:
         xs = np.reshape(pts, (len(pts), stack.total_dim))
-        off = stack.offsets
         steady = [steady_state_map(stack, i) for i in range(n)]
         for i in range(n):
             dist = np.linalg.norm(xs[:, off[i]:off[i + 1]] - steady[i](xs)[:, :stack.dims[i]],
@@ -286,13 +294,9 @@ def distance_bound_margins(stack: SystemStack, certificate: ContractionCertifica
             margins[:, i] = certificate.inverse_bound[i] * fr - dist
         return margins
     for r, x in enumerate(pts):
-        blocks = stack.split(x)
         for i in range(n):
-            solved = steady_state_solve(stack, i, blocks[:i], np.concatenate(blocks[i:]))
-            dist = float(np.linalg.norm(blocks[i] - solved[0]))
-            if i + 1 < n:
-                fr = reduced_field(stack, i, blocks[:i + 1], np.concatenate(blocks[i + 1:]))
-            else:
-                fr = stack.field_block(i, x)
-            margins[r, i] = certificate.inverse_bound[i] * float(np.linalg.norm(fr)) - dist
+            block = slice(off[i], off[i + 1])
+            dist = float(np.linalg.norm(x[block] - steady_state_solve(stack, i, x)[block]))
+            fr = float(np.linalg.norm(reduced_field(stack, i, x)))
+            margins[r, i] = certificate.inverse_bound[i] * fr - dist
     return margins

@@ -196,6 +196,11 @@ def test_solve_discrete_validation(example):
             ps.solve_discrete(example, "gda", 0.1, [0.0, 0.0], eps=eps)
     with pytest.raises(ValueError):
         ps.solve_discrete(example, "newton", 0.1, [0.0, 0.0])
+    for x0 in ([np.nan, 0.0], [0.0, np.inf]):
+        with pytest.raises(ValueError, match="x0"):
+            ps.solve_discrete(example, "ps", 0.25, x0)
+    with pytest.raises(ValueError, match="tol"):
+        ps.solve_discrete(example, "ps", 0.25, [0.4, 0.4], tol=np.nan)
 
 
 def test_iterate_log_csv(tmp_path, example):

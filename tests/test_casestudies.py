@@ -161,6 +161,9 @@ def test_rlc_param_validation():
         cs.RlcParams(c=0.0)
     with pytest.raises(ValueError):
         cs.RlcParams(omega=-1.0)
+    for bad in ({"k_pi": np.nan}, {"k_ii": np.inf}, {"l": np.inf}, {"v_ref": (np.nan, 0.0)}):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            cs.RlcParams(**bad)
 
 
 def test_rlc_low_gain_tier_verdicts():
@@ -179,9 +182,9 @@ def test_rlc_equilibrium_newton_recovery():
     stack = cs.rlc_stack(params)
     eq = cs.rlc_equilibrium(params)
     rng = np.random.default_rng(14)
-    solved = ps.steady_state_solve(stack, 0, [], eq + rng.normal(0, 1.0, 8))
-    assert np.linalg.norm(stack.field(np.concatenate(solved))) <= 1e-10
-    assert np.max(np.abs(np.concatenate(solved) - eq)) <= 1e-8
+    solved = ps.steady_state_solve(stack, 0, eq + rng.normal(0, 1.0, 8))
+    assert np.linalg.norm(stack.field(solved)) <= 1e-10
+    assert np.max(np.abs(solved - eq)) <= 1e-8
 
 
 def test_black_start_metrics_from_shared_runs(black_start_runs):

@@ -150,7 +150,7 @@ def test_bilevel_run_off_exits_0(tmp_path, capsys, args, steps):
     assert len(rows) == steps + 2 and rows[-1].endswith(",nan")
 
 
-def test_config_errors_exit_2(tmp_path):
+def test_config_errors_exit_2(tmp_path, capsys):
     assert run(["simulate", "--stack", "nope", "--scheme", "plain",
                 "--out", str(tmp_path)]) == EXIT_CONFIG
     stack_file = tmp_path / "stack.json"
@@ -174,6 +174,23 @@ def test_config_errors_exit_2(tmp_path):
     assert run(["simulate", "--stack", "r2", "--divergence-threshold", "nan",
                 "--out", str(tmp_path)]) == EXIT_CONFIG
     assert run(["bilevel", "--tau", "nan", "--out", str(tmp_path)]) == EXIT_CONFIG
+    # non-finite inputs are rejected where they are read, naming the input
+    capsys.readouterr()
+    for args, named in (
+            (["stability", "--stack", "r2", "--point", "nan,0"], "point"),
+            (["stability", "--stack", "r2", "--tol", "nan", "--point", "1,1"], "tol"),
+            (["stability", "--stack", "r2", "--scheme", "precond:1,nan"], "gain 1"),
+            (["simulate", "--stack", "r2", "--scheme", "precond:1,nan"], "gain 1"),
+            (["simulate", "--stack", "r2", "--scheme", "singular:1,nan"], "epsilons"),
+            (["bilevel", "--x0", "nan,0"], "x0"),
+            (["bilevel", "--tol", "nan", "--x0", "0.4,0.4"], "tol"),
+            (["rlc", "--kpi", "nan", "--t-end", "0.001"], "k_pi"),
+            (["rlc", "--kpi", "inf", "--t-end", "0.001"], "k_pi")):
+        assert run([*args, "--out", str(tmp_path / "nonfinite")]) == EXIT_CONFIG, args
+        err = capsys.readouterr().err
+        assert named in err, (args, err)
+        assert "SVD did not converge" not in err and "RuntimeWarning" not in err, args
+    assert not (tmp_path / "nonfinite").exists()
 
 
 @pytest.mark.parametrize("args", [
@@ -202,12 +219,12 @@ def test_numerical_errors_exit_3(tmp_path):
 
 
 def test_scheme_grammar_epsilon_forms(r2_stack):
-    full = parse_scheme("singular:1,0.5", 2, r2_stack, np.zeros(2))
-    implied = parse_scheme("singular:0.5", 2, r2_stack, np.zeros(2))
+    full = parse_scheme("singular:1,0.5", r2_stack, np.zeros(2))
+    implied = parse_scheme("singular:0.5", r2_stack, np.zeros(2))
     assert full.epsilons == implied.epsilons == (1.0, 0.5)
-    approx = parse_scheme("approx:frozen", 2, r2_stack, np.zeros(2))
+    approx = parse_scheme("approx:frozen", r2_stack, np.zeros(2))
     assert isinstance(approx, ps.ApproximateSensitivity)
-    noisy = parse_scheme("approx:noise:0.1", 2, r2_stack, np.zeros(2))
+    noisy = parse_scheme("approx:noise:0.1", r2_stack, np.zeros(2))
     assert isinstance(noisy, ps.ApproximateSensitivity)
-    precond = parse_scheme("precond:2,3", 2, r2_stack, np.zeros(2))
+    precond = parse_scheme("precond:2,3", r2_stack, np.zeros(2))
     assert precond.gains == (2.0, 3.0)

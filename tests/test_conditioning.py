@@ -121,6 +121,8 @@ def test_singular_perturbation_validation():
     with pytest.raises(ValueError):
         ps.SingularPerturbation([1.0, -0.1])
     with pytest.raises(ValueError):
+        ps.SingularPerturbation([1.0, np.nan])
+    with pytest.raises(ValueError):
         ps.conditioned_field(registry.get_stack("r2"),
                              ps.SingularPerturbation([1.0, 0.5, 0.5]), [0.0, 0.0])
 
@@ -130,6 +132,9 @@ def test_preconditioned_validation(r2_stack):
         ps.conditioned_field(r2_stack, ps.Preconditioned([0.0, 1.0]), [0.0, 0.0])
     with pytest.raises(ValueError):
         ps.conditioned_field(r2_stack, ps.Preconditioned([1.0]), [0.0, 0.0])
+    for gain in (np.nan, np.inf, np.array([[np.nan]])):
+        with pytest.raises(ValueError, match="gain 1 must be finite"):
+            ps.conditioned_field(r2_stack, ps.Preconditioned([1.0, gain]), [0.0, 0.0])
     # block-matrix gains work too
     m, _ = ps.conditioning_matrix(r2_stack,
                                   ps.Preconditioned([np.array([[2.0]]),

@@ -80,10 +80,8 @@ def test_manifold_error_plain_lag_matches_analytic(tracking_stack):
 def test_manifold_invariance_cascade_from_fast_manifold_start():
     from predsens import casestudies as cs
     stack = cs.cascade_stack(cs.CascadeParams(), x1_ref=1.0)
-    slow = np.array([0.5, -0.2])
-    fast = np.concatenate(ps.steady_state_solve(stack, 1, [slow], np.zeros(2)))
-    traj = ps.integrate_ode(stack, ps.PredictiveSensitivity(),
-                            np.concatenate([slow, fast]),
+    start = ps.steady_state_solve(stack, 1, [0.5, -0.2, 0.0, 0.0])
+    traj = ps.integrate_ode(stack, ps.PredictiveSensitivity(), start,
                             ps.IntegrationSettings("rk4", 1e-3, 2.0))
     err = ps.manifold_error(stack, traj, 1)
     assert np.nanmax(err) <= 1e-9

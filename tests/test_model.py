@@ -15,7 +15,8 @@ def test_flatten_split_bijection_bit_identical():
         dims = [int(d) for d in rng.integers(1, 5, size=rng.integers(1, 5))]
         stack = ps.SystemStack([ps.Subsystem(d, lambda x: x) for d in dims])
         x = rng.standard_normal(int(np.sum(dims))) * 10.0 ** rng.integers(-8, 8)
-        blocks = stack.split(x)
+        off = stack.offsets
+        blocks = [x[off[i]:off[i + 1]] for i in range(len(dims))]
         assert [b.size for b in blocks] == dims
         assert np.concatenate(blocks).tobytes() == x.tobytes()
 
@@ -73,6 +74,10 @@ def test_only_a_flat_point_is_accepted(dims, point):
         ps.integrate_ode(stack, ps.PredictiveSensitivity(), point, settings)
     with pytest.raises(ps.StackDefinitionError):
         ps.total_derivative_table(stack, point)
+    with pytest.raises(ps.StackDefinitionError):
+        ps.steady_state_solve(stack, 0, point)
+    with pytest.raises(ps.StackDefinitionError):
+        ps.reduced_field(stack, 0, point)
 
 
 def test_fd_jacobian_square():

@@ -72,8 +72,8 @@ def test_singular_diagonal_block_raises_with_level():
 
 
 def test_steady_state_r2(r2_stack):
-    solved = ps.steady_state_solve(r2_stack, 1, [[3.0]], [0.0])
-    assert abs(solved[0][0] - 3.0) <= 1e-12
+    solved = ps.steady_state_solve(r2_stack, 1, [3.0, 0.0])
+    assert abs(solved[1] - 3.0) <= 1e-12
 
 
 def test_steady_state_trivial_decay():
@@ -81,8 +81,8 @@ def test_steady_state_trivial_decay():
         ps.Subsystem(1, lambda x: np.array([-x[0] + x[1]])),
         ps.Subsystem(1, lambda x: np.array([-x[1]])),
     ])
-    solved = ps.steady_state_solve(stack, 1, [[5.0]], [1.0])
-    assert abs(solved[0][0]) <= 1e-12
+    solved = ps.steady_state_solve(stack, 1, [5.0, 1.0])
+    assert abs(solved[1]) <= 1e-12
 
 
 def test_steady_state_rlc_inner_loop():
@@ -91,11 +91,10 @@ def test_steady_state_rlc_inner_loop():
     params = cs.RlcParams()
     stack = cs.rlc_stack(params)
     vref = np.asarray(params.v_ref)
-    upstream = np.concatenate([vref, np.zeros(2)])
-    solved = ps.steady_state_solve(stack, 1, [upstream], np.zeros(4))
+    fast = ps.steady_state_solve(stack, 1, np.concatenate([vref, np.zeros(6)]))[4:]
     i_ref = params.c * params.omega * (cs.ROT90 @ vref)
-    assert np.allclose(solved[0][:2], i_ref, atol=1e-9)
-    assert np.allclose(solved[0][2:], 0.0, atol=1e-9)
+    assert np.allclose(fast[:2], i_ref, atol=1e-9)
+    assert np.allclose(fast[2:], 0.0, atol=1e-9)
 
 
 def test_steady_state_nonconvergence_reports_residual():
@@ -104,49 +103,54 @@ def test_steady_state_nonconvergence_reports_residual():
         ps.Subsystem(1, lambda x: np.array([1.0 + x[1] ** 2])),  # no real root
     ])
     with pytest.raises(ps.ConvergenceError) as err:
-        ps.steady_state_solve(stack, 1, [[0.0]], [0.5])
+        ps.steady_state_solve(stack, 1, [0.0, 0.5])
     assert err.value.residual is not None and err.value.residual > 0
 
 
 def test_reduced_field_r2(r2_stack):
-    assert np.allclose(ps.reduced_field(r2_stack, 0, [[1.0]], [0.0]), [-1.0],
+    assert np.allclose(ps.reduced_field(r2_stack, 0, [1.0, 0.0]), [-1.0],
                        atol=1e-12)
 
 
 def test_reduced_field_without_coupling_equals_field(tracking_stack):
     # slow field does not read the fast block, so reduction changes nothing
-    val = ps.reduced_field(tracking_stack, 0, [[2.5]], [0.0])
+    val = ps.reduced_field(tracking_stack, 0, [2.5, 0.0])
     assert np.allclose(val, [-2.5], rtol=0, atol=0)
+
+
+def test_level_out_of_range_raises(r2_stack):
+    for level in (-1, 2):
+        with pytest.raises(IndexError):
+            ps.steady_state_solve(r2_stack, level, [0.0, 0.0])
+        with pytest.raises(IndexError):
+            ps.reduced_field(r2_stack, level, [0.0, 0.0])
 
 
 def test_reduced_field_bilevel_stack_stationary_at_origin():
     stack = as_system_stack(cs.bilevel_example_problem())
-    val = ps.reduced_field(stack, 0, [[0.0]], [0.0])
+    val = ps.reduced_field(stack, 0, [0.0, 0.0])
     assert np.allclose(val, [0.0], atol=1e-10)
 
 
-def _fd_of_steady_map(stack, level, upstream, guess, j, comp, h):
-    up_p = [np.array(b, dtype=float) for b in upstream]
-    up_m = [np.array(b, dtype=float) for b in upstream]
-    up_p[j][comp] += h
-    up_m[j][comp] -= h
-    sp = ps.steady_state_solve(stack, level, up_p, guess)
-    sm = ps.steady_state_solve(stack, level, up_m, guess)
-    return (sp[0] - sm[0]) / (2.0 * h)
+def _fd_of_steady_map(stack, level, point, k, h):
+    """Central difference of the steady state of block ``level`` with respect
+    to the upstream coordinate ``k`` of ``point``, each solve started there."""
+    block = slice(stack.offsets[level], stack.offsets[level + 1])
+    step = h * np.eye(stack.total_dim)[k]
+    sp = ps.steady_state_solve(stack, level, point + step)
+    sm = ps.steady_state_solve(stack, level, point - step)
+    return (sp[block] - sm[block]) / (2.0 * h)
 
 
 def test_restriction_identity_linear3(linear3_stack):
     """On the steady-state manifold the table sensitivities match central
     differences of the re-solved steady-state maps (relative 1e-4)."""
     x1 = 0.8
-    solved = ps.steady_state_solve(linear3_stack, 1, [[x1]], [0.0, 0.0])
-    point = np.concatenate([[x1], *solved])
+    point = ps.steady_state_solve(linear3_stack, 1, [x1, 0.0, 0.0])
     table = ps.total_derivative_table(linear3_stack, point)
     for level in (1, 2):
-        upstream = [point[k:k + 1] for k in range(level)]
         for j in range(level):
-            fd = _fd_of_steady_map(linear3_stack, level, upstream,
-                                   point[level:], j, 0, 1e-5)
+            fd = _fd_of_steady_map(linear3_stack, level, point, j, 1e-5)
             sens = table.sens[level][j][:, 0]
             assert np.linalg.norm(sens - fd) <= 1e-4 * (1 + np.linalg.norm(fd))
 
@@ -155,9 +159,9 @@ def test_restriction_identity_bilevel_stack():
     stack = as_system_stack(cs.bilevel_example_problem())
     rng = np.random.default_rng(11)
     for x1 in rng.uniform(-0.5, 0.5, 25):
-        solved = ps.steady_state_solve(stack, 1, [[x1]], [x1])  # origin branch
-        table = ps.total_derivative_table(stack, np.concatenate([[x1], solved[0]]))
-        fd = _fd_of_steady_map(stack, 1, [[x1]], solved[0], 0, 0, 1e-5)
+        point = ps.steady_state_solve(stack, 1, [x1, x1])  # origin branch
+        table = ps.total_derivative_table(stack, point)
+        fd = _fd_of_steady_map(stack, 1, point, 0, 1e-5)
         rel = abs(table.sens[1][0][0, 0] - fd[0]) / max(1e-12, abs(fd[0]))
         assert rel <= 1e-4
 
@@ -165,11 +169,10 @@ def test_restriction_identity_bilevel_stack():
 def test_slow_total_matches_fd_of_reduced_field(linear3_stack):
     """D[0][0] equals the derivative of the reduced slow field (rel 1e-4)."""
     x1 = 0.4
-    solved = ps.steady_state_solve(linear3_stack, 1, [[x1]], [0.0, 0.0])
-    table = ps.total_derivative_table(
-        linear3_stack, np.concatenate([[x1], *solved]))
+    point = ps.steady_state_solve(linear3_stack, 1, [x1, 0.0, 0.0])
+    table = ps.total_derivative_table(linear3_stack, point)
     h = 1e-5
-    fp = ps.reduced_field(linear3_stack, 0, [[x1 + h]], np.concatenate(solved))
-    fm = ps.reduced_field(linear3_stack, 0, [[x1 - h]], np.concatenate(solved))
+    fp = ps.reduced_field(linear3_stack, 0, point + [h, 0.0, 0.0])
+    fm = ps.reduced_field(linear3_stack, 0, point - [h, 0.0, 0.0])
     fd = (fp - fm) / (2.0 * h)
     assert abs(table.total[0][0][0, 0] - fd[0]) <= 1e-4 * (1 + abs(fd[0]))

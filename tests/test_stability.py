@@ -95,6 +95,8 @@ def test_block_triangular_form_cascade_companion_blocks():
 def test_block_triangular_form_requires_steady_state(r2_stack):
     with pytest.raises(ps.NotSteadyStateError):
         ps.block_triangular_form(r2_stack, [1.0, 0.0])
+    with pytest.raises(ValueError, match="finite"):
+        ps.block_triangular_form(r2_stack, [np.nan, 0.0])
 
 
 def test_classify_r2_across_the_stability_boundary(r2_stack):
@@ -154,6 +156,11 @@ def test_block_spectra_only_for_exact_sensitivities(r2_stack, scheme, has_blocks
 def test_classify_requires_steady_point(r2_stack):
     with pytest.raises(ps.NotSteadyStateError):
         ps.classify_local_stability(r2_stack, ps.Plain(), [0.5, 0.0])
+    for point in ([np.nan, 0.0], [0.0, np.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            ps.classify_local_stability(r2_stack, ps.Plain(), point)
+    with pytest.raises(ValueError, match="tol"):
+        ps.classify_local_stability(r2_stack, ps.Plain(), [1.0, 1.0], tol=np.nan)
 
 
 def test_similarity_preservation_on_random_stacks(random_linear_suite):
