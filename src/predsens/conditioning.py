@@ -11,14 +11,15 @@ place that maps a scheme to them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence, Union
 
 import numpy as np
 
 from .errors import EvaluationError
 from .model import Array, SystemStack, as_flat
-from .sensitivity import jacobian_grid, solve_checked, total_derivative_table
+from .sensitivity import (jacobian_grid, sensitivity_blocks, solve_checked,
+                          total_derivative_table)
 
 
 @dataclass(frozen=True)
@@ -94,7 +95,7 @@ class Conditioner:
     ``e`` stands for H_i = I / e and is applied by division, so singular
     perturbation computes f_i / eps_i exactly as written. ``sens`` maps a
     flat state to the blocks S[i][j] (None: L = I). ``exact`` marks ``sens``
-    as the exact :func:`total_derivative_table`.
+    as the exact S of the elimination recursion (:func:`sensitivity_blocks`).
     """
 
     gains: tuple | None
@@ -125,7 +126,7 @@ def compile_scheme(stack: SystemStack, scheme: Scheme | Conditioner) -> Conditio
         return Conditioner(None, lambda x: scheme.provider(stack, x), False)
 
     def exact(x: Array):
-        return total_derivative_table(stack, x).sens
+        return sensitivity_blocks(stack, x)
 
     if isinstance(scheme, PredictiveSensitivity):
         return Conditioner(None, exact, True)
@@ -242,9 +243,16 @@ def conditioning_matrix(stack: SystemStack, scheme: Scheme | Conditioner, point)
 def conditioned_jacobian(stack: SystemStack, scheme: Scheme | Conditioner, x: Array):
     """M^{-1} grad f at ``x``, assembled column by column through
     ``apply_inverse`` of :func:`conditioning_matrix`; returns it with
-    ``apply_inverse``."""
-    _, apply_inverse = conditioning_matrix(stack, scheme, x)
-    grad = np.block([[np.atleast_2d(b) for b in row] for row in jacobian_grid(stack, x)])
+    ``apply_inverse``. An exact conditioner takes grad f and S from one
+    :func:`total_derivative_table`, so the Jacobian grid is built once."""
+    cond = compile_scheme(stack, scheme)
+    if cond.exact:
+        table = total_derivative_table(stack, x)
+        grid, cond = table.partial, replace(cond, sens=lambda _x: table.sens)
+    else:
+        grid = jacobian_grid(stack, x)
+    _, apply_inverse = conditioning_matrix(stack, cond, x)
+    grad = np.block([[np.atleast_2d(b) for b in row] for row in grid])
     return np.column_stack([apply_inverse(col) for col in grad.T]), apply_inverse
 
 
@@ -272,7 +280,7 @@ def noisy_sensitivity_provider(sigma: float, seed: int = 0) -> SensProvider:
     def provider(stack: SystemStack, x: Array):
         x = np.asarray(x, dtype=float)
         rng = np.random.default_rng([seed, *x.view(np.uint64).tolist()])
-        sens = total_derivative_table(stack, x).sens
+        sens = sensitivity_blocks(stack, x)
         out: list[list[Array | None]] = []
         for i, row in enumerate(sens):
             out.append([None if blk is None else blk + rng.normal(0.0, sigma, blk.shape)

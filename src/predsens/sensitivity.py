@@ -11,7 +11,8 @@ fastest subsystem down to the slowest:
 ``S[i][j]`` equals the derivative of the steady-state map of level i with
 respect to block j whenever all levels faster than i sit at their steady
 states, but the table itself is defined (and computed here) at arbitrary
-points.
+points. A conditioned field reads only ``S``, which needs the partial rows
+1..N-1 alone; :func:`sensitivity_blocks` builds just that.
 """
 
 from __future__ import annotations
@@ -88,28 +89,43 @@ class SensitivityTable:
     sens: list[list[Array | None]]
 
 
-def total_derivative_table(stack: SystemStack, point) -> SensitivityTable:
-    """Run the fast-to-slow elimination recursion at ``point``.
-
-    Requires every diagonal total-derivative block D[i][i] for i >= 1 to be
-    invertible; a violation raises :class:`SingularMatrixError` naming the
-    level.
-    """
-    x = as_flat(stack, point)
-    grid = jacobian_grid(stack, x)
-    n = len(stack)
+def _eliminate(grid: list, lowest: int) -> tuple[list, list]:
+    """The elimination recursion for levels N-1 down to ``lowest``; it reads
+    the partial rows ``grid[lowest:]`` only and returns ``(total, sens)``."""
+    n = len(grid)
     total: list[list[Array | None]] = [[None] * n for _ in range(n)]
     sens: list[list[Array | None]] = [[None] * n for _ in range(n)]
-    for i in range(n - 1, -1, -1):
+    for i in range(n - 1, lowest - 1, -1):
         for j in range(n - 1, -1, -1):
             d = np.array(grid[i][j], dtype=float)
             for k in range(max(i, j) + 1, n):
                 d += total[i][k] @ sens[k][j]
             total[i][j] = d
-        if i > 0:
-            for j in range(i):
-                sens[i][j] = solve_checked(total[i][i], -total[i][j], level=i)
+        for j in range(i):
+            sens[i][j] = solve_checked(total[i][i], -total[i][j], level=i)
+    return total, sens
+
+
+def total_derivative_table(stack: SystemStack, point) -> SensitivityTable:
+    """Run the fast-to-slow elimination recursion at ``point`` down to the
+    slowest level: every partial block, ``D`` (row 0 included) and ``S``.
+
+    Requires every diagonal total-derivative block D[i][i] for i >= 1 to be
+    invertible; a violation raises :class:`SingularMatrixError` naming the
+    level.
+    """
+    grid = jacobian_grid(stack, point)
+    total, sens = _eliminate(grid, 0)
     return SensitivityTable(partial=grid, total=total, sens=sens)  # type: ignore[arg-type]
+
+
+def sensitivity_blocks(stack: SystemStack, point) -> list[list[Array | None]]:
+    """The ``sens`` of :func:`total_derivative_table`, bit for bit, from the
+    Jacobian rows 1..N-1 alone: the recursion stops at level 1, since row 0
+    feeds no S. A singular D[i][i] raises as in the table."""
+    x = as_flat(stack, point)
+    grid = [None] + [jacobian_row(stack, i, x) for i in range(1, len(stack))]
+    return _eliminate(grid, 1)[1]
 
 
 def _newton(residual, jacobian, y0: Array, what: str) -> Array:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import predsens as ps
-from predsens import registry
+from predsens import registry, sensitivity
 from predsens.conditioning import compile_scheme, make_conditioned_field
 
 
@@ -215,3 +215,53 @@ def test_approximate_provider_is_called_on_every_evaluation(r2_stack):
     for x in points:
         field(x)
     assert np.array_equal(np.asarray(seen), points)
+
+
+def _count_calls(monkeypatch, module, name) -> list:
+    """Replace ``module.name`` by a wrapper that appends one entry per call."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_field_calls_build_no_finite_difference_jacobian(monkeypatch):
+    """bilevel-example's slow row has no analytic Jacobian and feeds no S, so
+    neither a conditioned field call nor an RK4 run differentiates it."""
+    stack = registry.get_stack("bilevel-example")
+    x = np.array([0.3, 0.25])
+    calls = _count_calls(monkeypatch, sensitivity, "finite_difference_jacobian")
+    for scheme in (ps.PredictiveSensitivity(), ps.Preconditioned([1.0, 2.0]),
+                   ps.ApproximateSensitivity(ps.noisy_sensitivity_provider(0.05, 1))):
+        ps.conditioned_field(stack, scheme, x)
+        assert calls == [], scheme
+    traj = ps.integrate_ode(stack, ps.PredictiveSensitivity(), x,
+                            ps.IntegrationSettings("rk4", 0.01, 0.1))
+    assert len(traj.times) == 11
+    assert calls == []
+
+
+def test_exact_affine_compile_builds_its_grid_once(monkeypatch, linear3_stack):
+    """Compiling an affine field reads each Jacobian row once, whether the
+    scheme's S is exact or absent."""
+    calls = _count_calls(monkeypatch, sensitivity, "jacobian_row")
+    for scheme in (ps.PredictiveSensitivity(), ps.Plain()):
+        calls.clear()
+        make_conditioned_field(linear3_stack, scheme)
+        assert len(calls) == len(linear3_stack), scheme
+
+
+def test_plain_compile_accepts_a_singular_diagonal_block():
+    """Only a scheme that reads S needs D[1][1] invertible."""
+    stack = ps.linear_stack([1, 1], [[[[-1.0]], [[1.0]]], [[[1.0]], [[0.0]]]])
+    x = np.array([0.5, -0.25])
+    assert np.allclose(make_conditioned_field(stack, ps.Plain())(x), stack.field(x),
+                       rtol=0.0, atol=1e-15)
+    with pytest.raises(ps.SingularMatrixError) as err:
+        make_conditioned_field(stack, ps.PredictiveSensitivity())
+    assert err.value.level == 1

@@ -8,7 +8,7 @@ import predsens as ps
 from predsens import casestudies as cs
 from predsens import registry
 from predsens.bilevel import as_system_stack
-from predsens.sensitivity import jacobian_grid
+from predsens.sensitivity import jacobian_grid, sensitivity_blocks
 
 
 def test_r2_table_values(r2_stack):
@@ -66,9 +66,26 @@ def test_two_system_recursion_matches_direct_formula():
 
 def test_singular_diagonal_block_raises_with_level():
     stack = ps.linear_stack([1, 1], [[[[-1.0]], [[1.0]]], [[[1.0]], [[0.0]]]])
-    with pytest.raises(ps.SingularMatrixError) as err:
-        ps.total_derivative_table(stack, [0.0, 0.0])
-    assert err.value.level == 1
+    for build in (ps.total_derivative_table, sensitivity_blocks):
+        with pytest.raises(ps.SingularMatrixError) as err:
+            build(stack, [0.0, 0.0])
+        assert err.value.level == 1
+
+
+def test_sensitivity_blocks_equal_the_table_on_bilevel_example():
+    """bilevel-example's slow row is a finite-difference Jacobian, which the
+    sensitivity-only path never builds; its S is the table's bit for bit at
+    50 points in the basin of the origin (x2 near x1, 0.1 <= |x1| <= 0.45)."""
+    stack = registry.get_stack("bilevel-example")
+    rng = np.random.default_rng(41)
+    for _ in range(50):
+        x1 = rng.uniform(0.1, 0.45) * rng.choice([-1.0, 1.0])
+        x = np.array([x1, x1 + rng.uniform(-0.05, 0.05)])
+        blocks = sensitivity_blocks(stack, x)
+        sens = ps.total_derivative_table(stack, x).sens
+        for got in (blocks, sens):
+            assert [[b is None for b in row] for row in got] == [[True, True], [False, True]]
+        assert blocks[1][0].tobytes() == sens[1][0].tobytes()
 
 
 def test_steady_state_r2(r2_stack):
