@@ -17,6 +17,7 @@ points. A conditioned field reads only ``S``, which needs the partial rows
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -37,10 +38,33 @@ STEADY_STATE_TOL = 1e-8
 
 
 def solve_checked(a: Array, b: Array, level: int | None = None) -> Array:
-    """LU solve with a singularity guard based on the condition estimate."""
+    """``np.linalg.solve(a, b)`` behind a singularity guard.
+
+    A matrix with a non-finite entry, or with a 2-norm condition estimate
+    (from its singular values) that is infinite or beyond
+    :data:`CONDITION_LIMIT`, raises :class:`SingularMatrixError` with
+    ``level`` and ``cond`` (NaN for a non-finite matrix).
+
+    A 1x1 ``a`` that is finite and nonzero against one float64 right-hand
+    column (``b`` of shape ``(1,)`` or ``(1, 1)``) skips the guard and LAPACK
+    and returns ``b / a[0, 0]``. That drops no check, since the condition
+    number of such a matrix is exactly 1, and the result is bit for bit
+    ``np.linalg.solve``'s, overflow to inf included. The path takes one
+    column only because with more columns LAPACK multiplies by the
+    reciprocal, ``b * (1 / a)``, which rounds differently.
+    """
     a = np.atleast_2d(np.asarray(a, dtype=float))
-    sv = np.linalg.svd(a, compute_uv=False)
-    cond = np.inf if sv[-1] == 0.0 else float(sv[0] / sv[-1])
+    b = np.asarray(b)
+    if a.shape == (1, 1) and b.shape in ((1,), (1, 1)) and b.dtype == float:
+        pivot = a[0, 0]
+        if pivot != 0.0 and math.isfinite(pivot):
+            with np.errstate(over="ignore"):
+                return b / pivot
+    if np.isfinite(a).all():
+        sv = np.linalg.svd(a, compute_uv=False)
+        cond = np.inf if sv[-1] == 0.0 else float(sv[0] / sv[-1])
+    else:
+        cond = np.nan
     if not np.isfinite(cond) or cond > CONDITION_LIMIT:
         where = "" if level is None else f" at subsystem {level}"
         raise SingularMatrixError(

@@ -205,6 +205,25 @@ def test_scheme_failure_carries_failing_time():
     assert getattr(err.value, "time", None) is not None
 
 
+def test_nan_diagonal_block_raises_singular_with_level_and_time():
+    # the analytic fast diagonal block turns NaN once x2 falls below 0.01
+    def jac_fast(x):
+        d = x[1] if x[1] > 0.01 else np.nan
+        return [np.array([[0.0]]), np.array([[d]])]
+
+    stack = ps.SystemStack([
+        ps.Subsystem(1, lambda x: np.array([-x[0]]),
+                     lambda x: [np.array([[-1.0]]), np.array([[0.0]])]),
+        ps.Subsystem(1, lambda x: np.array([-1.0]), jac_fast),
+    ])
+    with pytest.raises(ps.SingularMatrixError) as err:
+        ps.integrate_ode(stack, ps.PredictiveSensitivity(), [1.0, 0.05],
+                         ps.IntegrationSettings("euler", 0.01, 2.0))
+    assert err.value.level == 1
+    assert np.isnan(err.value.cond)
+    assert 0.0 < err.value.time <= 0.05
+
+
 def test_singular_block_found_while_compiling_is_reported_at_time_zero():
     # affine stack whose fast diagonal block is exactly zero
     stack = ps.linear_stack([1, 1], [[[[-1.0]], [[1.0]]], [[[1.0]], [[0.0]]]])

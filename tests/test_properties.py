@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 import predsens as ps  # noqa: E402
-from predsens.sensitivity import sensitivity_blocks, steady_state_map  # noqa: E402
+from predsens.sensitivity import (sensitivity_blocks, solve_checked,  # noqa: E402
+                                  steady_state_map)
 
 entries = st.floats(-1.0, 1.0)
 
@@ -75,3 +76,20 @@ def test_sensitivity_blocks_are_the_tables_s(case):
         for blk, ref in zip(row, ref_row):
             assert (blk is None) == (ref is None)
             assert ref is None or (blk.shape == ref.shape and blk.tobytes() == ref.tobytes())
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(derandomize=True, deadline=None)
+@given(finite.filter(lambda v: v != 0.0), finite, st.sampled_from([(1,), (1, 1)]))
+@example(5e-324, 1.0, (1,))
+@example(-1e-300, 1e300, (1, 1))
+def test_scalar_block_solve_is_lapacks_bit_for_bit(a, b, shape):
+    """A finite nonzero 1x1 block against one right-hand column gives
+    ``np.linalg.solve``'s shape and bytes, overflow to inf included, with no
+    warning."""
+    a, b = np.array([[a]]), np.full(shape, b)
+    got = solve_checked(a, b)
+    ref = np.linalg.solve(a, b)
+    assert got.shape == ref.shape and got.tobytes() == ref.tobytes()

@@ -8,7 +8,7 @@ import predsens as ps
 from predsens import casestudies as cs
 from predsens import registry
 from predsens.bilevel import as_system_stack
-from predsens.sensitivity import jacobian_grid, sensitivity_blocks
+from predsens.sensitivity import jacobian_grid, sensitivity_blocks, solve_checked
 
 
 def test_r2_table_values(r2_stack):
@@ -70,6 +70,50 @@ def test_singular_diagonal_block_raises_with_level():
         with pytest.raises(ps.SingularMatrixError) as err:
             build(stack, [0.0, 0.0])
         assert err.value.level == 1
+
+
+def test_nan_diagonal_block_raises_singular_not_linalg_error():
+    stack = ps.SystemStack([
+        ps.Subsystem(1, lambda x: np.array([-x[0]]),
+                     lambda x: [np.array([[-1.0]]), np.array([[0.0]])]),
+        ps.Subsystem(1, lambda x: np.array([-x[1]]),
+                     lambda x: [np.array([[1.0]]), np.array([[np.nan]])]),
+    ])
+    for build in (ps.total_derivative_table, sensitivity_blocks,
+                  lambda s, x: ps.conditioned_field(s, ps.PredictiveSensitivity(), x)):
+        with pytest.raises(ps.SingularMatrixError) as err:
+            build(stack, [0.0, 0.0])
+        assert err.value.level == 1
+        assert np.isnan(err.value.cond)
+
+
+@pytest.mark.parametrize("block, cond", [(0.0, np.inf), (np.inf, np.nan),
+                                         (-np.inf, np.nan), (np.nan, np.nan)])
+def test_solve_checked_rejects_zero_and_nonfinite_scalar_blocks(block, cond):
+    for level in (None, 2):
+        with pytest.raises(ps.SingularMatrixError) as err:
+            solve_checked([[block]], np.array([1.0]), level=level)
+        assert err.value.level == level
+        assert np.array_equal(err.value.cond, cond, equal_nan=True)
+        where = "" if level is None else f" at subsystem {level}"
+        assert str(err.value) == (f"matrix{where} is numerically singular "
+                                  f"(condition estimate {cond:.3e})")
+
+
+def test_solve_checked_scalar_block_with_two_columns_matches_lapack():
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        a = np.array([[rng.normal() * 10.0 ** rng.uniform(-8, 8)]])
+        b = rng.normal(size=(1, 2)) * 10.0 ** rng.uniform(-8, 8)
+        got = solve_checked(a, b)
+        ref = np.linalg.solve(a, b)
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("b", [np.ones(2), 1.0])
+def test_solve_checked_scalar_block_rejects_mismatched_right_hand_side(b):
+    with pytest.raises(ValueError):
+        solve_checked([[2.0]], b)
 
 
 def test_sensitivity_blocks_equal_the_table_on_bilevel_example():
