@@ -16,6 +16,7 @@ from typing import Callable
 
 import numpy as np
 
+from .conditioning import Conditioner, PredictiveSensitivity, _forward_substitute, compile_scheme
 from .errors import SingularMatrixError
 from .model import Array, Subsystem, SystemStack, finite_difference_jacobian, write_csv
 from .sensitivity import STEADY_STATE_TOL, solve_checked, steady_state_solve
@@ -174,11 +175,15 @@ DIVERGENCE_CAP = 1e6
 def solve_discrete(problem: BilevelProblem, method: str, tau: float, x0,
                    max_iter: int = 200, tol: float = 1e-8,
                    eps: float | None = None) -> IterateLog:
-    """Simultaneous discrete descent on both levels with step size tau.
+    """Simultaneous discrete descent x + tau M^{-1} f(x) on the gradient-flow
+    stack f = (-D, -grad2 F2) of :func:`as_system_stack`, with step size tau.
 
-    ``method="ps"`` feeds the upper update forward through the sensitivity;
-    ``method="gda"`` scales the lower step by 1/eps instead (the descent
-    analogue of the singular-perturbation conditioning).
+    ``method`` picks the conditioner M, compiled by
+    :func:`~predsens.conditioning.compile_scheme`: ``"ps"`` is
+    :class:`~predsens.conditioning.PredictiveSensitivity`, which feeds the
+    upper step forward through the sensitivity; ``"gda"`` divides the lower
+    step by ``eps`` (the descent analogue of singular perturbation, for any
+    positive eps, above 1 too). The residual is the norm of f.
 
     Leaving ``DIVERGENCE_CAP``, or reaching a singular lower Hessian (kept
     with a NaN residual), ends the run as diverged; one at ``x0`` raises.
@@ -187,52 +192,41 @@ def solve_discrete(problem: BilevelProblem, method: str, tau: float, x0,
         raise ValueError(f"tau must be positive and finite, got {tau}")
     if method not in ("ps", "gda"):
         raise ValueError(f"method must be 'ps' or 'gda', got {method!r}")
-    if method == "gda":
-        if eps is None or not 0 < eps < np.inf:
-            raise ValueError(f"gda needs a positive, finite eps, got {eps}")
+    if method == "gda" and (eps is None or not 0 < eps < np.inf):
+        raise ValueError(f"gda needs a positive, finite eps, got {eps}")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
     if np.isnan(tol):
         raise ValueError("tol must be a number, got nan")
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    if x0.size != problem.n1 + problem.n2:
-        raise ValueError(f"x0 has {x0.size} entries, expected {problem.n1 + problem.n2}")
-    if not np.all(np.isfinite(x0)):
-        raise ValueError(f"x0 must be finite, got {x0.tolist()}")
-    x1 = x0[:problem.n1].copy()
-    x2 = x0[problem.n1:].copy()
-
-    iterates = [np.concatenate([x1, x2])]
-    d = total_gradient(problem, x1, x2)
-    g2 = np.asarray(problem.grad_lower_x2(x1, x2), dtype=float).reshape(-1)
-    residuals = [float(np.hypot(np.linalg.norm(d), np.linalg.norm(g2)))]
-    converged = residuals[0] <= tol
-    diverged = False
-    used = 0
-    for k in range(max_iter):
-        if converged or diverged:
-            break
-        step1 = -tau * d
-        if method == "ps":
-            s = sensitivity(problem, x1, x2)
-            step2 = -tau * g2 + s @ step1
-        else:
-            step2 = -(tau / eps) * g2
-        x1 = x1 + step1
-        x2 = x2 + step2
-        used = k + 1
+    n1 = problem.n1
+    x = np.asarray(x0, dtype=float).reshape(-1)
+    if x.size != n1 + problem.n2:
+        raise ValueError(f"x0 has {x.size} entries, expected {n1 + problem.n2}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"x0 must be finite, got {x.tolist()}")
+    stack = as_system_stack(problem)
+    cond = compile_scheme(stack, PredictiveSensitivity() if method == "ps"
+                          else Conditioner((1.0, float(eps)), None, False))
+    iterates, residuals = [], []
+    for used in range(max_iter + 1):
         try:
-            d = total_gradient(problem, x1, x2)
+            f = stack.field(x)
         except SingularMatrixError:  # run-off: the lower Hessian vanished
-            d = np.full(problem.n1, np.nan)
-        g2 = np.asarray(problem.grad_lower_x2(x1, x2), dtype=float).reshape(-1)
-        residuals.append(float(np.hypot(np.linalg.norm(d), np.linalg.norm(g2))))
-        iterates.append(np.concatenate([x1, x2]))
-        if residuals[-1] <= tol:
-            converged = True
-        if np.linalg.norm(iterates[-1]) > DIVERGENCE_CAP or not np.isfinite(residuals[-1]):
-            diverged = True
+            if used == 0:
+                raise
+            f = np.full(x.size, np.nan)
+        iterates.append(x)
+        residuals.append(float(np.hypot(np.linalg.norm(f[:n1]), np.linalg.norm(f[n1:]))))
+        converged = bool(residuals[-1] <= tol)
+        diverged = used > 0 and bool(np.linalg.norm(x) > DIVERGENCE_CAP
+                                     or not np.isfinite(residuals[-1]))
+        if converged or diverged or used == max_iter:
+            break
+        sens = None if cond.sens is None else cond.sens(x)
+        x = x + tau * np.concatenate(_forward_substitute(cond, sens, [f[:n1], f[n1:]]))
     return IterateLog(iterates=np.asarray(iterates), residuals=np.asarray(residuals),
                       converged=converged, iterations_used=used, diverged=diverged,
-                      n1=problem.n1, n2=problem.n2)
+                      n1=n1, n2=problem.n2)
 
 
 def as_system_stack(problem: BilevelProblem) -> SystemStack:

@@ -201,6 +201,21 @@ def test_solve_discrete_validation(example):
             ps.solve_discrete(example, "ps", 0.25, x0)
     with pytest.raises(ValueError, match="tol"):
         ps.solve_discrete(example, "ps", 0.25, [0.4, 0.4], tol=np.nan)
+    with pytest.raises(ValueError, match="max_iter"):
+        ps.solve_discrete(example, "ps", 0.25, [0.4, 0.4], max_iter=-5)
+
+
+def test_gda_takes_eps_above_one(example):
+    """eps > 1 (a lower level slower than the upper one) is no singular
+    perturbation, but gda still runs it: the first iterate is
+    x0 + tau (-D, -g2 / eps)."""
+    x0, tau, eps = np.array([0.4, 0.4]), 0.25, 2.0
+    log = ps.solve_discrete(example, "gda", tau, x0, eps=eps)
+    assert log.iterations_used > 0 and np.all(np.isfinite(log.residuals))
+    d = total_gradient(example, x0[:1], x0[1:])
+    g2 = example.grad_lower_x2(x0[:1], x0[1:])
+    first = x0 + tau * np.concatenate([-d, -g2 / eps])
+    assert log.iterates[1].tobytes() == first.tobytes()
 
 
 def test_iterate_log_csv(tmp_path, example):

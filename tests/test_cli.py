@@ -174,6 +174,8 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert run(["simulate", "--stack", "r2", "--divergence-threshold", "nan",
                 "--out", str(tmp_path)]) == EXIT_CONFIG
     assert run(["bilevel", "--tau", "nan", "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert run(["bilevel", "--x0", "0.4,0.4", "--iters", "-5",
+                "--out", str(tmp_path)]) == EXIT_CONFIG
     # non-finite inputs are rejected where they are read, naming the input
     capsys.readouterr()
     for args, named in (

@@ -7,6 +7,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 import predsens as ps  # noqa: E402
+from predsens.casestudies import bilevel_example_problem  # noqa: E402
 from predsens.sensitivity import (sensitivity_blocks, solve_checked,  # noqa: E402
                                   steady_state_map)
 
@@ -93,3 +94,82 @@ def test_scalar_block_solve_is_lapacks_bit_for_bit(a, b, shape):
     got = solve_checked(a, b)
     ref = np.linalg.solve(a, b)
     assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+@st.composite
+def scheme_and_vector(draw):
+    """An ``affine_stack_point`` with one of the five schemes for its levels
+    and a vector to condition."""
+    stack, _, x = draw(affine_stack_point(4))
+    n, dims = len(stack), stack.dims
+    kind = draw(st.sampled_from(["plain", "singular", "predsens", "precond", "approx"]))
+    if kind == "plain":
+        scheme = ps.Plain()
+    elif kind == "singular":
+        tail = draw(st.lists(st.floats(0.01, 1.0), min_size=n - 1, max_size=n - 1))
+        scheme = ps.SingularPerturbation([1.0] + sorted(tail, reverse=True))
+    elif kind == "predsens":
+        scheme = ps.PredictiveSensitivity()
+    elif kind == "precond":
+        gains = []
+        for d in dims:
+            if draw(st.booleans()):
+                gains.append(draw(st.floats(0.1, 10.0)) * draw(st.sampled_from([-1.0, 1.0])))
+            else:  # diagonally dominant, so invertible
+                flat = draw(st.lists(st.floats(-0.4, 0.4), min_size=d * d, max_size=d * d))
+                gains.append(2.0 * np.eye(d) + np.reshape(flat, (d, d)))
+        scheme = ps.Preconditioned(gains)
+    else:
+        scheme = ps.ApproximateSensitivity(
+            ps.noisy_sensitivity_provider(0.1, draw(st.integers(0, 2 ** 31))))
+    v = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=stack.total_dim,
+                               max_size=stack.total_dim)))
+    return stack, scheme, x, v
+
+
+@settings(derandomize=True, deadline=None)
+@given(scheme_and_vector())
+def test_conditioning_matrix_inverts_its_apply_inverse(case):
+    """``M @ apply_inverse(v) == v`` for every scheme, to 1e-12 relative to
+    ``|M| @ |apply_inverse(v)|``, the scale of the products summed."""
+    stack, scheme, x, v = case
+    try:
+        m, apply_inverse = ps.conditioning_matrix(stack, scheme, x)
+    except ps.SingularMatrixError:
+        assume(False)
+    w = apply_inverse(v)
+    assert np.linalg.norm(m @ w - v) <= 1e-12 * np.linalg.norm(np.abs(m) @ np.abs(w))
+
+
+EXAMPLE = bilevel_example_problem()
+
+in_basin_start = st.builds(
+    lambda size, sign, offset: np.array([sign * size, sign * size + offset]),
+    st.floats(0.1, 0.45), st.sampled_from([-1.0, 1.0]), st.floats(-0.05, 0.05))
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(in_basin_start, st.sampled_from([0.5, 0.25, 0.125]),
+       st.sampled_from([None, 1.0, 0.5, 0.25, 0.125]))
+def test_descent_is_iterated_discrete_step(x0, tau, eps):
+    """``solve_discrete`` is ``discrete_step`` on the tau-scaled gradient-flow
+    stack, bit for bit: under ``PredictiveSensitivity`` for ps (eps None) and
+    ``SingularPerturbation((1, eps))`` for gda. Each residual is the hypot of
+    the unscaled field blocks; a run-off iterate, where the field raises, has
+    a NaN one."""
+    log = ps.solve_discrete(EXAMPLE, "ps" if eps is None else "gda", tau, x0, eps=eps)
+    stack = ps.as_system_stack(EXAMPLE)
+    scaled = stack.scaled(tau)
+    scheme = ps.PredictiveSensitivity() if eps is None else ps.SingularPerturbation((1.0, eps))
+    x = x0
+    for k, (it, res) in enumerate(zip(log.iterates, log.residuals)):
+        assert it.tobytes() == x.tobytes()
+        if np.isnan(res):
+            assert k == log.iterations_used and log.diverged
+            with pytest.raises(ps.SingularMatrixError):
+                stack.field(it)
+            break
+        f = stack.field(it)
+        assert res == np.hypot(np.linalg.norm(f[:1]), np.linalg.norm(f[1:]))
+        if k < log.iterations_used:
+            x = ps.discrete_step(scaled, scheme, x)
