@@ -16,7 +16,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .errors import EvaluationError
+from .errors import EvaluationError, StackDefinitionError
 from .model import Array, SystemStack, as_flat
 from .sensitivity import (jacobian_grid, sensitivity_blocks, solve_checked,
                           total_derivative_table)
@@ -76,7 +76,8 @@ class ApproximateSensitivity:
 
     ``provider(stack, x)`` returns blocks ``s[i][j]`` for j < i (entries for
     j >= i are ignored), letting experiments script frozen or perturbed
-    sensitivities.
+    sensitivities. Each must be (dims[i], dims[j]), or a scalar for 1x1;
+    :func:`compile_scheme` raises :class:`StackDefinitionError` otherwise.
     """
 
     provider: SensProvider
@@ -123,7 +124,7 @@ def compile_scheme(stack: SystemStack, scheme: Scheme | Conditioner) -> Conditio
             raise ValueError(f"scheme has {len(scheme.epsilons)} epsilons for {n} subsystems")
         return Conditioner(scheme.epsilons, None, False)
     if isinstance(scheme, ApproximateSensitivity):
-        return Conditioner(None, lambda x: scheme.provider(stack, x), False)
+        return Conditioner(None, lambda x: _provided_blocks(stack, scheme.provider(stack, x)), False)
 
     def exact(x: Array):
         return sensitivity_blocks(stack, x)
@@ -151,6 +152,26 @@ def compile_scheme(stack: SystemStack, scheme: Scheme | Conditioner) -> Conditio
     return Conditioner(tuple(mats), exact, True)
 
 
+def _provided_blocks(stack: SystemStack, sens) -> list[list[Array | None]]:
+    """A provider's blocks S[i][j] (j < i) as float arrays, each checked to be
+    (dims[i], dims[j]); a wrong shape raises :class:`StackDefinitionError`
+    with ``index=i``. A scalar stands for a 1x1 block, and None for zero."""
+    dims = stack.dims
+    out: list[list[Array | None]] = []
+    for i in range(len(stack)):
+        out.append([])
+        for j in range(i):
+            b = sens[i][j]
+            if b is not None:
+                b = np.atleast_2d(np.asarray(b, dtype=float))
+                if b.shape != (dims[i], dims[j]):
+                    raise StackDefinitionError(
+                        f"sensitivity provider returned a block S[{i}][{j}] of shape "
+                        f"{b.shape}, expected {(dims[i], dims[j])}", index=i)
+            out[i].append(b)
+    return out
+
+
 def _forward_substitute(cond: Conditioner, sens, blocks: list[Array]) -> list[Array]:
     xdot: list[Array] = []
     for i, f in enumerate(blocks):
@@ -158,7 +179,7 @@ def _forward_substitute(cond: Conditioner, sens, blocks: list[Array]) -> list[Ar
         if sens is not None:
             for j in range(i):
                 if sens[i][j] is not None:
-                    v = v + np.atleast_2d(np.asarray(sens[i][j], dtype=float)) @ xdot[j]
+                    v = v + sens[i][j] @ xdot[j]
         xdot.append(v)
     return xdot
 
@@ -226,7 +247,7 @@ def conditioning_matrix(stack: SystemStack, scheme: Scheme | Conditioner, point)
         for i in range(len(stack)):
             for j in range(i):
                 if sens[i][j] is not None:
-                    m[rows[i], rows[j]] = -np.atleast_2d(np.asarray(sens[i][j], dtype=float))
+                    m[rows[i], rows[j]] = -sens[i][j]
     for i, h in enumerate(cond.gains or ()):
         if isinstance(h, float):
             m[rows[i], :] *= h

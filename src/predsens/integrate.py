@@ -13,7 +13,7 @@ import numpy as np
 
 from . import conditioning
 from .conditioning import Scheme, is_affine, make_conditioned_field
-from .errors import ConvergenceError, SingularMatrixError
+from .errors import ConvergenceError, EvaluationError, SingularMatrixError
 from .model import Array, SystemStack, as_flat
 from .sensitivity import steady_state_map, steady_state_solve
 
@@ -109,7 +109,7 @@ def integrate_ode(stack: SystemStack, scheme: Scheme, x0,
     try:
         cond = conditioning.compile_scheme(stack, scheme)  # the one compile of this run
         f = make_conditioned_field(stack, cond)
-    except (SingularMatrixError, ConvergenceError) as exc:
+    except (SingularMatrixError, ConvergenceError, EvaluationError) as exc:
         exc.time = 0.0  # type: ignore[attr-defined]
         raise
     step = _rk4_step if settings.method == "rk4" else _euler_step
@@ -133,7 +133,7 @@ def integrate_ode(stack: SystemStack, scheme: Scheme, x0,
         else:
             try:
                 x_new = step(f, x, dt)
-            except (SingularMatrixError, ConvergenceError) as exc:
+            except (SingularMatrixError, ConvergenceError, EvaluationError) as exc:
                 exc.time = t_next  # type: ignore[attr-defined]
                 raise
         size = np.abs(x_new).max()

@@ -216,17 +216,22 @@ def steady_state_solve(stack: SystemStack, level: int, point) -> Array:
 
 
 def steady_state_map(stack: SystemStack, level: int) -> Callable[[Array], Array]:
-    """The steady state of the levels >= ``level`` of an affine stack (every
-    subsystem declares ``constant_jacobian``) as a function of the upstream
-    blocks: the returned map takes states, one flat state per row, and gives
-    for each row the solved levels (flat, in level order) at its upstream
-    blocks.
+    """The steady state of the levels >= ``level`` as a function of the
+    upstream blocks: the returned map takes states, one flat state per row,
+    and gives for each row the solved levels (flat, in level order).
 
-    The map is ``x -> G x_up + h``: ``h`` is one :func:`steady_state_solve`
-    from the zero point and each column of ``G`` one from a unit point (one
-    upstream coordinate 1, all else 0), minus ``h``. Their errors propagate.
+    On an affine stack (every subsystem declares ``constant_jacobian``) it is
+    ``x -> G x_up + h``: ``h`` is one :func:`steady_state_solve` from the zero
+    point and each column of ``G`` one from a unit point, minus ``h``. On any
+    other stack each row is one :func:`steady_state_solve` from its own
+    blocks. ``level`` is checked when the map is built; solve errors propagate.
     """
+    if not 0 <= level < len(stack):
+        raise IndexError(f"level {level} out of range for {len(stack)} subsystems")
     cut = stack.offsets[level]
+    if not stack.constant_jacobian:
+        return lambda states: np.reshape([steady_state_solve(stack, level, x)[cut:] for x in states],
+                                         (len(states), stack.total_dim - cut))
     h = steady_state_solve(stack, level, np.zeros(stack.total_dim))[cut:]
     g = np.empty((h.size, cut))
     for k, unit in enumerate(np.eye(cut, stack.total_dim)):

@@ -17,8 +17,7 @@ import numpy as np
 from .conditioning import Conditioner, Scheme, compile_scheme, conditioned_jacobian
 from .errors import ConvergenceError, NotSteadyStateError
 from .model import Array, SystemStack, as_flat
-from .sensitivity import (STEADY_STATE_TOL, reduced_field, steady_state_map,
-                          steady_state_solve, total_derivative_table)
+from .sensitivity import STEADY_STATE_TOL, steady_state_map, total_derivative_table
 
 #: Verdicts stay Marginal while |max Re lambda| <= this.
 STABILITY_TOL = 1e-9
@@ -274,29 +273,21 @@ def distance_bound_margins(stack: SystemStack, certificate: ContractionCertifica
     """Check norm(x_i - x_i^s) <= bound_i * norm(reduced field at level i).
 
     Returns the matrix of margins bound_i * norm(f_i^r) - norm(x_i - x_i^s),
-    one row per point; nonnegative rows mean the distance bound holds. On an
-    affine stack the steady states come from one
-    :func:`~predsens.sensitivity.steady_state_map` per level, applied to
-    every point; otherwise each point is solved on its own.
+    one row per point; nonnegative rows mean the distance bound holds. The
+    steady states of each level come from one
+    :func:`~predsens.sensitivity.steady_state_map` applied to every point,
+    and the reduced field of level i is read at the points with the levels
+    faster than i at those of level i + 1.
     """
     n = len(stack)
     pts = [as_flat(stack, pt) for pt in points]
     margins = np.empty((len(pts), n))
     off = stack.offsets
-    if stack.constant_jacobian:
-        xs = np.reshape(pts, (len(pts), stack.total_dim))
-        steady = [steady_state_map(stack, i) for i in range(n)]
-        for i in range(n):
-            dist = np.linalg.norm(xs[:, off[i]:off[i + 1]] - steady[i](xs)[:, :stack.dims[i]],
-                                  axis=1)
-            reduced_at = xs if i + 1 == n else np.hstack([xs[:, :off[i + 1]], steady[i + 1](xs)])
-            fr = np.array([np.linalg.norm(stack.field_block(i, y)) for y in reduced_at])
-            margins[:, i] = certificate.inverse_bound[i] * fr - dist
-        return margins
-    for r, x in enumerate(pts):
-        for i in range(n):
-            block = slice(off[i], off[i + 1])
-            dist = float(np.linalg.norm(x[block] - steady_state_solve(stack, i, x)[block]))
-            fr = float(np.linalg.norm(reduced_field(stack, i, x)))
-            margins[r, i] = certificate.inverse_bound[i] * fr - dist
+    xs = np.reshape(pts, (len(pts), stack.total_dim))
+    solved = [steady_state_map(stack, i)(xs) for i in range(n)]
+    for i in range(n):
+        dist = np.linalg.norm(xs[:, off[i]:off[i + 1]] - solved[i][:, :stack.dims[i]], axis=1)
+        reduced_at = xs if i + 1 == n else np.hstack([xs[:, :off[i + 1]], solved[i + 1]])
+        fr = np.array([np.linalg.norm(stack.field_block(i, y)) for y in reduced_at])
+        margins[:, i] = certificate.inverse_bound[i] * fr - dist
     return margins

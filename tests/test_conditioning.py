@@ -217,6 +217,29 @@ def test_approximate_provider_is_called_on_every_evaluation(r2_stack):
     assert np.array_equal(np.asarray(seen), points)
 
 
+@pytest.mark.parametrize("block", [np.array([0.5, 0.5]), [[0.5, 0.5]], np.ones((2, 3)),
+                                   np.ones((1, 4))])
+def test_provider_block_of_wrong_shape_names_its_level(block):
+    """A provider block S[1][0] that is not (2, 2) raises instead of being
+    broadcast, in the field and in the conditioning matrix."""
+    stack = ps.linear_stack([2, 2], [[-np.eye(2), np.zeros((2, 2))],
+                                     [np.eye(2), -2.0 * np.eye(2)]])
+    scheme = ps.ApproximateSensitivity(lambda _stack, _x: [[None, None], [block, None]])
+    for evaluate in (ps.conditioned_field, ps.conditioning_matrix):
+        with pytest.raises(ps.StackDefinitionError, match=r"S\[1\]\[0\] of shape") as err:
+            evaluate(stack, scheme, np.ones(4))
+        assert err.value.index == 1
+
+
+def test_provider_scalar_stands_for_a_1x1_block(r2_stack):
+    x = np.array([1.0, 0.5])
+    ref = ps.conditioned_field(
+        r2_stack, ps.ApproximateSensitivity(lambda _s, _x: [[], [np.array([[0.5]])]]), x)
+    for block in (0.5, [0.5], np.float64(0.5)):
+        scheme = ps.ApproximateSensitivity(lambda _s, _x, _b=block: [[], [_b]])
+        assert ps.conditioned_field(r2_stack, scheme, x).tobytes() == ref.tobytes()
+
+
 def _count_calls(monkeypatch, module, name) -> list:
     """Replace ``module.name`` by a wrapper that appends one entry per call."""
     calls = []

@@ -224,6 +224,18 @@ def test_nan_diagonal_block_raises_singular_with_level_and_time():
     assert 0.0 < err.value.time <= 0.05
 
 
+def test_nonfinite_field_mid_run_carries_its_time():
+    # the slow state grows at rate 1 (exactly, in steps of 1/16); the fast
+    # field turns NaN once it passes 0.5
+    stack = ps.SystemStack([
+        ps.Subsystem(1, lambda x: np.array([1.0])),
+        ps.Subsystem(1, lambda x: np.array([np.nan if x[0] > 0.5 else -x[1]])),
+    ])
+    with pytest.raises(ps.EvaluationError) as err:
+        ps.integrate_ode(stack, ps.Plain(), [0.0, 0.0], ps.IntegrationSettings("euler", 0.0625, 1.0))
+    assert 0.5 < err.value.time <= 0.7
+
+
 def test_singular_block_found_while_compiling_is_reported_at_time_zero():
     # affine stack whose fast diagonal block is exactly zero
     stack = ps.linear_stack([1, 1], [[[[-1.0]], [[1.0]]], [[[1.0]], [[0.0]]]])

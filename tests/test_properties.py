@@ -1,5 +1,7 @@
 """Property tests over random affine stacks (derandomized, so reproducible)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,36 @@ def test_steady_state_solve_keeps_upstream_and_matches_the_map(case):
     mapped = steady_state_map(stack, level)(x[None, :])[0]
     tail = solved[cut:]
     assert np.linalg.norm(tail - mapped) <= 1e-10 * (1.0 + np.linalg.norm(tail))
+    per_point = ps.SystemStack([dataclasses.replace(s, constant_jacobian=False)
+                                for s in stack.subsystems])
+    assert steady_state_map(per_point, level)(x[None, :])[0].tobytes() == tail.tobytes()
+
+
+@st.composite
+def well_conditioned_affine_stack_point(draw):
+    """An ``affine_stack_point`` with N in {2, 3} whose joint blocks from
+    every level on are well conditioned, so every D[i][i] is invertible."""
+    stack, a, x = draw(affine_stack_point(3))
+    assume(all(np.linalg.cond(a[cut:, cut:]) < 1e3 for cut in stack.offsets[:-1]))
+    return stack, x
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(well_conditioned_affine_stack_point())
+def test_equilibria_are_fixed_points_of_euler_and_rk4(case):
+    """One step of either method from an equilibrium stays there to 1e-9
+    relative, under every scheme."""
+    stack, x = case
+    n = len(stack)
+    x_eq = ps.steady_state_solve(stack, 0, x)
+    schemes = [ps.Plain(), ps.SingularPerturbation([1.0] + [0.5] * (n - 1)),
+               ps.PredictiveSensitivity(), ps.Preconditioned([float(k + 2) for k in range(n)]),
+               ps.ApproximateSensitivity(ps.noisy_sensitivity_provider(0.1))]
+    for method in ("euler", "rk4"):
+        for scheme in schemes:
+            traj = ps.integrate_ode(stack, scheme, x_eq, ps.IntegrationSettings(method, 0.01, 0.01))
+            assert traj.states.shape == (2, stack.total_dim) and not traj.diverged
+            assert np.linalg.norm(traj.final_state - x_eq) <= 1e-9 * (1.0 + np.linalg.norm(x_eq))
 
 
 @settings(derandomize=True, deadline=None)

@@ -8,7 +8,8 @@ import predsens as ps
 from predsens import casestudies as cs
 from predsens import registry
 from predsens.bilevel import as_system_stack
-from predsens.sensitivity import jacobian_grid, sensitivity_blocks, solve_checked
+from predsens.sensitivity import (jacobian_grid, sensitivity_blocks, solve_checked,
+                                  steady_state_map)
 
 
 def test_r2_table_values(r2_stack):
@@ -185,6 +186,19 @@ def test_level_out_of_range_raises(r2_stack):
             ps.steady_state_solve(r2_stack, level, [0.0, 0.0])
         with pytest.raises(IndexError):
             ps.reduced_field(r2_stack, level, [0.0, 0.0])
+
+
+def test_steady_state_map_checks_its_level_and_takes_zero_rows(r2_stack):
+    """On the affine and the per-point path alike, a level out of range
+    raises when the map is built, and zero rows give zero rows of the width
+    of the solved levels."""
+    for stack in (r2_stack, as_system_stack(cs.bilevel_example_problem())):
+        for level in (-1, 2):
+            with pytest.raises(IndexError):
+                steady_state_map(stack, level)
+        for level in (0, 1):
+            solved = steady_state_map(stack, level)(np.empty((0, 2)))
+            assert solved.shape == (0, 2 - level)
 
 
 def test_reduced_field_bilevel_stack_stationary_at_origin():

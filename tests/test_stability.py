@@ -8,7 +8,7 @@ import pytest
 
 import predsens as ps
 from predsens import casestudies as cs
-from predsens import registry
+from predsens import registry, sensitivity
 from predsens.bilevel import as_system_stack
 
 
@@ -257,6 +257,67 @@ def test_affine_margins_match_per_point_solves(r2_stack):
         ref = ps.distance_bound_margins(per_point, cert, points)
         assert fast.shape == ref.shape == (20, len(stack))
         assert np.max(np.abs(fast - ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(ref))))
+
+
+def _nonlinear_two_dim_stack():
+    """Three nonlinear levels of dimension 2: a random coupling with its
+    diagonal shifted by -3, a sine of each level's own block and a tanh of
+    the slowest state."""
+    a = np.random.default_rng(3).uniform(-0.5, 0.5, (6, 6)) - 3.0 * np.eye(6)
+
+    def level(i):
+        rows = slice(2 * i, 2 * i + 2)
+        return ps.Subsystem(2, lambda x: a[rows] @ x + 0.3 * np.sin(x[rows]) + 0.2 * np.tanh(x[0]))
+
+    return ps.SystemStack([level(i) for i in range(3)])
+
+
+MARGIN_STACKS = {"bilevel-example": lambda: registry.get_stack("bilevel-example"),
+                 "nonlinear": _nonlinear_two_dim_stack}
+
+
+@pytest.mark.parametrize("name", sorted(MARGIN_STACKS))
+def test_margins_match_per_point_reference(name):
+    """On non-affine stacks the margins equal those from one
+    ``steady_state_solve`` and one ``reduced_field`` per point and level, to
+    1e-15 relative."""
+    stack = MARGIN_STACKS[name]()
+    n, off = len(stack), stack.offsets
+    rng = np.random.default_rng(12)
+    points = [rng.uniform(-0.4, 0.4, stack.total_dim) for _ in range(30)]
+    cert = ps.contraction_check(stack, [1.0] * n, [1.0] * n, points)
+    ref = np.empty((len(points), n))
+    for r, x in enumerate(points):
+        for i in range(n):
+            block = slice(off[i], off[i + 1])
+            dist = np.linalg.norm(x[block] - ps.steady_state_solve(stack, i, x)[block])
+            fr = np.linalg.norm(ps.reduced_field(stack, i, x))
+            ref[r, i] = cert.inverse_bound[i] * fr - dist
+    margins = ps.distance_bound_margins(stack, cert, points)
+    assert margins.shape == ref.shape
+    assert np.all(np.abs(margins - ref) <= 1e-15 * np.maximum(1.0, np.abs(ref)))
+
+
+@pytest.mark.parametrize("name", sorted(MARGIN_STACKS))
+def test_margins_solve_each_level_once_per_point(name, monkeypatch):
+    """One steady-state solve per point and level: the reduced field of a
+    level reads the solve of the next level instead of solving it again."""
+    stack = MARGIN_STACKS[name]()
+    n = len(stack)
+    points = [np.full(stack.total_dim, 0.1 * k) for k in range(4)]
+    cert = ps.contraction_check(stack, [1.0] * n, [1.0] * n, points)
+    levels = []
+    original = sensitivity.steady_state_solve
+
+    def counted(stack, level, point):
+        levels.append(level)
+        return original(stack, level, point)
+
+    monkeypatch.setattr(sensitivity, "steady_state_solve", counted)
+    assert ps.distance_bound_margins(stack, cert, []).shape == (0, n)
+    assert levels == []
+    ps.distance_bound_margins(stack, cert, points)
+    assert sorted(levels) == sorted(list(range(n)) * len(points))
 
 
 def test_distance_bounds_on_contractive_points(r2_stack):
