@@ -18,7 +18,8 @@ import numpy as np
 
 from .conditioning import Conditioner, PredictiveSensitivity, _forward_substitute, compile_scheme
 from .errors import SingularMatrixError
-from .model import Array, Subsystem, SystemStack, finite_difference_jacobian, write_csv
+from .model import (Array, Subsystem, SystemStack, finite_difference_jacobian, state_columns,
+                    write_csv)
 from .sensitivity import STEADY_STATE_TOL, solve_checked, steady_state_solve
 
 Vec = np.ndarray
@@ -161,11 +162,7 @@ class IterateLog:
     n2: int = 1
 
     def to_csv(self, path) -> None:
-        cols = ["iter"]
-        cols += ["x1" if self.n1 == 1 else f"x1_{k}" for k in range(self.n1)]
-        cols += ["x2" if self.n2 == 1 else f"x2_{k}" for k in range(self.n2)]
-        cols.append("residual")
-        write_csv(path, ",".join(cols),
+        write_csv(path, ",".join(["iter", *state_columns((self.n1, self.n2)), "residual"]),
                   [np.arange(self.iterates.shape[0]), self.iterates, self.residuals])
 
 

@@ -22,8 +22,8 @@ from .conditioning import (ApproximateSensitivity, Plain, Preconditioned,
 from .errors import (ConvergenceError, EvaluationError, NotSteadyStateError,
                      SingularMatrixError, StackDefinitionError)
 from .integrate import IntegrationSettings, Trajectory, integrate_ode
-from .model import SystemStack, linear_stack, write_csv
-from .stability import classify_local_stability, eigenvalues
+from .model import SystemStack, linear_stack, state_columns, write_csv
+from .stability import _pairs, _sorted_eigs, classify_local_stability
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -121,15 +121,8 @@ def _load_stack(args) -> tuple[SystemStack, np.ndarray, np.ndarray | None]:
     return registry.get_stack(name), registry.default_x0(name), registry.equilibrium(name)
 
 
-def _state_columns(stack: SystemStack) -> list[str]:
-    cols = []
-    for i, d in enumerate(stack.dims):
-        cols += [f"x{i + 1}" if d == 1 else f"x{i + 1}_{k}" for k in range(d)]
-    return cols
-
-
 def write_trajectory_csv(path, stack: SystemStack, trajectory: Trajectory) -> None:
-    write_csv(path, ",".join(["t"] + _state_columns(stack)),
+    write_csv(path, ",".join(["t"] + state_columns(stack.dims)),
               [trajectory.times, trajectory.states])
 
 
@@ -139,9 +132,7 @@ def _write_json(path, data: dict) -> None:
 
 
 def _eig_pairs(mat) -> list[list[float]]:
-    lams = eigenvalues(mat)
-    order = np.lexsort((lams.imag, lams.real))
-    return [[float(z.real), float(z.imag)] for z in lams[order]]
+    return _pairs(_sorted_eigs(mat))
 
 
 def _cmd_simulate(args) -> int:

@@ -154,14 +154,18 @@ def compile_scheme(stack: SystemStack, scheme: Scheme | Conditioner) -> Conditio
 
 def _provided_blocks(stack: SystemStack, sens) -> list[list[Array | None]]:
     """A provider's blocks S[i][j] (j < i) as float arrays, each checked to be
-    (dims[i], dims[j]); a wrong shape raises :class:`StackDefinitionError`
-    with ``index=i``. A scalar stands for a 1x1 block, and None for zero."""
+    (dims[i], dims[j]); a missing block or a wrong shape raises
+    :class:`StackDefinitionError` with ``index=i``. A scalar is a 1x1 block, None zero."""
     dims = stack.dims
-    out: list[list[Array | None]] = []
-    for i in range(len(stack)):
+    out: list[list[Array | None]] = [[]]
+    for i in range(1, len(stack)):
+        row = sens[i] if i < len(sens) else ()
+        if len(row) < i:
+            raise StackDefinitionError(f"sensitivity provider returned {len(row)} blocks "
+                                       f"S[{i}][j], expected {i}", index=i)
         out.append([])
         for j in range(i):
-            b = sens[i][j]
+            b = row[j]
             if b is not None:
                 b = np.atleast_2d(np.asarray(b, dtype=float))
                 if b.shape != (dims[i], dims[j]):
@@ -217,7 +221,7 @@ def make_conditioned_field(stack: SystemStack, scheme: Scheme) -> Callable[[Arra
     if not is_affine(stack, cond):
         return lambda x: conditioned_field(stack, cond, x)
     origin = np.zeros(stack.total_dim)
-    a_c, apply_inverse = conditioned_jacobian(stack, cond, origin)
+    a_c, apply_inverse, _ = conditioned_jacobian(stack, cond, origin)
     b_c = apply_inverse(stack.field(origin))
 
     def field(x: Array) -> Array:
@@ -262,19 +266,17 @@ def conditioning_matrix(stack: SystemStack, scheme: Scheme | Conditioner, point)
 
 
 def conditioned_jacobian(stack: SystemStack, scheme: Scheme | Conditioner, x: Array):
-    """M^{-1} grad f at ``x``, assembled column by column through
-    ``apply_inverse`` of :func:`conditioning_matrix`; returns it with
-    ``apply_inverse``. An exact conditioner takes grad f and S from one
-    :func:`total_derivative_table`, so the Jacobian grid is built once."""
+    """M^{-1} grad f at ``x``, assembled column by column through ``apply_inverse``
+    of :func:`conditioning_matrix`, as ``(jac, apply_inverse, table)``. An exact
+    conditioner reads grad f and S from one :func:`total_derivative_table`,
+    returned as ``table``; any other conditioner builds none (``table`` is None)."""
     cond = compile_scheme(stack, scheme)
-    if cond.exact:
-        table = total_derivative_table(stack, x)
-        grid, cond = table.partial, replace(cond, sens=lambda _x: table.sens)
-    else:
-        grid = jacobian_grid(stack, x)
+    table = total_derivative_table(stack, x) if cond.exact else None
+    if table is not None:
+        cond = replace(cond, sens=lambda _x: table.sens)
+    grad = np.block(jacobian_grid(stack, x) if table is None else table.partial)
     _, apply_inverse = conditioning_matrix(stack, cond, x)
-    grad = np.block([[np.atleast_2d(b) for b in row] for row in grid])
-    return np.column_stack([apply_inverse(col) for col in grad.T]), apply_inverse
+    return np.column_stack([apply_inverse(col) for col in grad.T]), apply_inverse, table
 
 
 def discrete_step(stack: SystemStack, scheme: Scheme, point) -> Array:

@@ -13,7 +13,8 @@ import numpy as np
 
 from . import conditioning
 from .conditioning import Scheme, is_affine, make_conditioned_field
-from .errors import ConvergenceError, EvaluationError, SingularMatrixError
+from .errors import (ConvergenceError, EvaluationError, SingularMatrixError,
+                     StackDefinitionError)
 from .model import Array, SystemStack, as_flat
 from .sensitivity import steady_state_map, steady_state_solve
 
@@ -28,6 +29,10 @@ OVERFLOW_LIMIT = 1e150
 #: block is replaced by one four times larger, capped at the whole grid, so a
 #: run that stops early never reserves memory for the whole grid.
 FIRST_STATE_ROWS = 4096
+
+#: Scheme evaluation failures, the wrong shape of a provider block included.
+_EVALUATION_ERRORS = (SingularMatrixError, ConvergenceError, EvaluationError,
+                     StackDefinitionError)
 
 
 @dataclass(frozen=True)
@@ -109,7 +114,7 @@ def integrate_ode(stack: SystemStack, scheme: Scheme, x0,
     try:
         cond = conditioning.compile_scheme(stack, scheme)  # the one compile of this run
         f = make_conditioned_field(stack, cond)
-    except (SingularMatrixError, ConvergenceError, EvaluationError) as exc:
+    except _EVALUATION_ERRORS as exc:
         exc.time = 0.0  # type: ignore[attr-defined]
         raise
     step = _rk4_step if settings.method == "rk4" else _euler_step
@@ -133,7 +138,7 @@ def integrate_ode(stack: SystemStack, scheme: Scheme, x0,
         else:
             try:
                 x_new = step(f, x, dt)
-            except (SingularMatrixError, ConvergenceError, EvaluationError) as exc:
+            except _EVALUATION_ERRORS as exc:
                 exc.time = t_next  # type: ignore[attr-defined]
                 raise
         size = np.abs(x_new).max()

@@ -149,6 +149,13 @@ def finite_difference_jacobian(field: FieldFn, point, step: float = DEFAULT_FD_S
     return jac
 
 
+def state_columns(dims: Sequence[int]) -> list[str]:
+    """CSV column names of a flat state: ``x<i+1>`` for a scalar level i,
+    else ``x<i+1>_<k>`` for its k-th component."""
+    return [f"x{i + 1}" if d == 1 else f"x{i + 1}_{k}"
+            for i, d in enumerate(dims) for k in range(d)]
+
+
 def write_csv(path, header: str, columns: Sequence[Array]) -> None:
     """Write ``columns`` (1-D arrays, or 2-D blocks of columns) side by side
     under a ``header`` line, every value in round-trip ``.17g`` form."""

@@ -66,7 +66,7 @@ def jacobian_at(stack: SystemStack, scheme: Scheme | Conditioner, point) -> Arra
     for conditionings with a state-independent M. The scheme is compiled
     once.
     """
-    return conditioned_jacobian(stack, compile_scheme(stack, scheme), as_flat(stack, point))[0]
+    return conditioned_jacobian(stack, scheme, as_flat(stack, point))[0]
 
 
 def _steady_point(stack: SystemStack, point, tol: float) -> Array:
@@ -117,7 +117,7 @@ def block_triangular_form(stack: SystemStack, point) -> BlockTriangularForm:
             t[off[i]:off[i + 1], off[j]:off[j + 1]] = table.sens[i][j]
         transforms.append(t)
         minv = minv @ t
-    grad = np.block([[np.atleast_2d(blk) for blk in row] for row in table.partial])
+    grad = np.block(table.partial)
     a_tilde = grad @ minv
     diag = [table.total[i][i] for i in range(n)]
     gap = match_eigenvalues(eigenvalues(a_tilde),
@@ -135,15 +135,15 @@ class StabilityReport:
     block_spectrum_gap: float | None = None
 
     def to_json_dict(self) -> dict:
-        pairs = [[float(z.real), float(z.imag)] for z in self.eigenvalues]
-        blocks = None
-        if self.block_eigenvalues is not None:
-            blocks = [[[float(z.real), float(z.imag)] for z in lams]
-                      for lams in self.block_eigenvalues]
+        blocks = self.block_eigenvalues
         return {"verdict": self.verdict.value,
                 "spectral_abscissa": self.spectral_abscissa,
-                "eigenvalues": pairs,
-                "block_eigenvalues": blocks}
+                "eigenvalues": _pairs(self.eigenvalues),
+                "block_eigenvalues": None if blocks is None else [_pairs(b) for b in blocks]}
+
+
+def _pairs(lams: Array) -> list[list[float]]:
+    return [[float(z.real), float(z.imag)] for z in lams]
 
 
 def _sorted_eigs(a: Array) -> Array:
@@ -156,15 +156,15 @@ def classify_local_stability(stack: SystemStack, scheme: Scheme, steady_point,
                              tol: float = STEADY_STATE_TOL) -> StabilityReport:
     """Eigenvalue verdict for the conditioned system at an equilibrium.
 
-    For the conditionings with exact sensitivities (predictive sensitivity
-    and preconditioned) the report also carries the eigenvalues of the
-    per-level blocks H_i D[i][i], which must agree with the full
-    spectrum as a multiset (checked to 1e-6). A non-finite point or a NaN
-    ``tol`` raises ``ValueError``.
+    For the exact schemes (predictive sensitivity and preconditioned) the
+    report also carries the eigenvalues of the per-level blocks H_i D[i][i],
+    read from the table the Jacobian came from; they must agree with the
+    full spectrum as a multiset (checked to 1e-6). A non-finite point or a
+    NaN ``tol`` raises ``ValueError``.
     """
     x = _steady_point(stack, steady_point, tol)
     cond = compile_scheme(stack, scheme)
-    jac = jacobian_at(stack, cond, x)
+    jac, _, table = conditioned_jacobian(stack, cond, x)
     lams = _sorted_eigs(jac)
     abscissa = float(np.max(lams.real))
     if abscissa < -STABILITY_TOL:
@@ -174,10 +174,8 @@ def classify_local_stability(stack: SystemStack, scheme: Scheme, steady_point,
     else:
         verdict = Verdict.MARGINAL
 
-    block_lams = None
-    gap = None
-    if cond.exact:
-        table = total_derivative_table(stack, x)
+    block_lams = gap = None
+    if table is not None:
         block_lams = [_sorted_eigs(cond.gain(i, table.total[i][i])) for i in range(len(stack))]
         union = np.concatenate(block_lams)
         gap = match_eigenvalues(lams, union)

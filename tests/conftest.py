@@ -14,6 +14,25 @@ from predsens import casestudies as cs
 from predsens import registry
 
 
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(module, name)`` replaces ``module.name`` by a wrapper
+    that appends one entry per call, and returns the list of entries."""
+
+    def install(module, name) -> list:
+        calls = []
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    return install
+
+
 @pytest.fixture(scope="session")
 def r2_stack():
     return registry.get_stack("r2")

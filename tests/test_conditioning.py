@@ -231,6 +231,17 @@ def test_provider_block_of_wrong_shape_names_its_level(block):
         assert err.value.index == 1
 
 
+@pytest.mark.parametrize("rows", [[[None]], [[], []]], ids=["missing-row", "short-row"])
+def test_provider_with_too_few_blocks_names_its_level(r2_stack, rows):
+    """A provider that gives level 1 no block S[1][0] raises for level 1
+    instead of an IndexError, in the field and in the conditioning matrix."""
+    scheme = ps.ApproximateSensitivity(lambda _stack, _x: rows)
+    for evaluate in (ps.conditioned_field, ps.conditioning_matrix):
+        with pytest.raises(ps.StackDefinitionError, match=r"0 blocks S\[1\]\[j\]") as err:
+            evaluate(r2_stack, scheme, np.ones(2))
+        assert err.value.index == 1
+
+
 def test_provider_scalar_stands_for_a_1x1_block(r2_stack):
     x = np.array([1.0, 0.5])
     ref = ps.conditioned_field(
@@ -240,25 +251,12 @@ def test_provider_scalar_stands_for_a_1x1_block(r2_stack):
         assert ps.conditioned_field(r2_stack, scheme, x).tobytes() == ref.tobytes()
 
 
-def _count_calls(monkeypatch, module, name) -> list:
-    """Replace ``module.name`` by a wrapper that appends one entry per call."""
-    calls = []
-    original = getattr(module, name)
-
-    def counted(*args, **kwargs):
-        calls.append(name)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
-
-
-def test_field_calls_build_no_finite_difference_jacobian(monkeypatch):
+def test_field_calls_build_no_finite_difference_jacobian(count_calls):
     """bilevel-example's slow row has no analytic Jacobian and feeds no S, so
     neither a conditioned field call nor an RK4 run differentiates it."""
     stack = registry.get_stack("bilevel-example")
     x = np.array([0.3, 0.25])
-    calls = _count_calls(monkeypatch, sensitivity, "finite_difference_jacobian")
+    calls = count_calls(sensitivity, "finite_difference_jacobian")
     for scheme in (ps.PredictiveSensitivity(), ps.Preconditioned([1.0, 2.0]),
                    ps.ApproximateSensitivity(ps.noisy_sensitivity_provider(0.05, 1))):
         ps.conditioned_field(stack, scheme, x)
@@ -269,10 +267,10 @@ def test_field_calls_build_no_finite_difference_jacobian(monkeypatch):
     assert calls == []
 
 
-def test_exact_affine_compile_builds_its_grid_once(monkeypatch, linear3_stack):
+def test_exact_affine_compile_builds_its_grid_once(count_calls, linear3_stack):
     """Compiling an affine field reads each Jacobian row once, whether the
     scheme's S is exact or absent."""
-    calls = _count_calls(monkeypatch, sensitivity, "jacobian_row")
+    calls = count_calls(sensitivity, "jacobian_row")
     for scheme in (ps.PredictiveSensitivity(), ps.Plain()):
         calls.clear()
         make_conditioned_field(linear3_stack, scheme)

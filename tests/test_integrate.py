@@ -236,6 +236,17 @@ def test_nonfinite_field_mid_run_carries_its_time():
     assert 0.5 < err.value.time <= 0.7
 
 
+@pytest.mark.parametrize("rows", [[[None]], [[], []]], ids=["missing-row", "short-row"])
+def test_provider_with_too_few_blocks_carries_its_time(r2_stack, rows):
+    """A provider error is a scheme evaluation failure like any other: it
+    names its level and carries the time of the step that met it."""
+    scheme = ps.ApproximateSensitivity(lambda _stack, _x: rows)
+    with pytest.raises(ps.StackDefinitionError) as err:
+        ps.integrate_ode(r2_stack, scheme, [1.0, 0.5], ps.IntegrationSettings("euler", 0.125, 1.0))
+    assert err.value.index == 1
+    assert err.value.time == 0.125
+
+
 def test_singular_block_found_while_compiling_is_reported_at_time_zero():
     # affine stack whose fast diagonal block is exactly zero
     stack = ps.linear_stack([1, 1], [[[[-1.0]], [[1.0]]], [[[1.0]], [[0.0]]]])

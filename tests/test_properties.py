@@ -9,9 +9,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 import predsens as ps  # noqa: E402
+from predsens import registry  # noqa: E402
 from predsens.casestudies import bilevel_example_problem  # noqa: E402
+from predsens.conditioning import compile_scheme  # noqa: E402
 from predsens.sensitivity import (sensitivity_blocks, solve_checked,  # noqa: E402
                                   steady_state_map)
+from predsens.stability import _sorted_eigs  # noqa: E402
 
 entries = st.floats(-1.0, 1.0)
 
@@ -87,6 +90,56 @@ def test_equilibria_are_fixed_points_of_euler_and_rk4(case):
             traj = ps.integrate_ode(stack, scheme, x_eq, ps.IntegrationSettings(method, 0.01, 0.01))
             assert traj.states.shape == (2, stack.total_dim) and not traj.diverged
             assert np.linalg.norm(traj.final_state - x_eq) <= 1e-9 * (1.0 + np.linalg.norm(x_eq))
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(well_conditioned_affine_stack_point(), st.data())
+def test_one_table_verdict_matches_two_table_spectra(case, data):
+    """At a steady state, under the exact schemes, the verdict's spectrum is
+    that of ``jacobian_at`` and its block spectra are those of H_i D[i][i]
+    from a table built on its own, bit for bit, and the two agree as a
+    multiset (``classify_local_stability`` raises ``ConvergenceError`` if
+    not)."""
+    stack, x = case
+    n = len(stack)
+    x_eq = ps.steady_state_solve(stack, 0, x)
+    gains = data.draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n))
+    table = ps.total_derivative_table(stack, x_eq)
+    for scheme in (ps.PredictiveSensitivity(), ps.Preconditioned(gains)):
+        report = ps.classify_local_stability(stack, scheme, x_eq)
+        jac = ps.jacobian_at(stack, scheme, x_eq)
+        assert report.eigenvalues.tobytes() == _sorted_eigs(jac).tobytes()
+        cond = compile_scheme(stack, scheme)
+        assert len(report.block_eigenvalues) == n
+        for i, lams in enumerate(report.block_eigenvalues):
+            assert lams.tobytes() == _sorted_eigs(cond.gain(i, table.total[i][i])).tobytes()
+
+
+def _assert_jacobian_is_the_fields(stack, x_eq):
+    """``jacobian_at`` equals the finite-difference Jacobian of the
+    conditioned field at the steady state ``x_eq``, to 1e-6 relative, under
+    every scheme whose field is continuous in the state."""
+    n = len(stack)
+    frozen = ps.frozen_sensitivity_provider(stack, x_eq)
+    schemes = [ps.Plain(), ps.SingularPerturbation([1.0] + [0.5] * (n - 1)),
+               ps.PredictiveSensitivity(), ps.Preconditioned([float(k + 2) for k in range(n)]),
+               ps.ApproximateSensitivity(frozen)]
+    for scheme in schemes:
+        jac = ps.jacobian_at(stack, scheme, x_eq)
+        fd = ps.finite_difference_jacobian(lambda y: ps.conditioned_field(stack, scheme, y), x_eq)
+        assert np.max(np.abs(jac - fd)) <= 1e-6 * (1.0 + np.max(np.abs(jac))), scheme
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(well_conditioned_affine_stack_point())
+def test_assembled_jacobian_is_the_conditioned_fields(case):
+    stack, x = case
+    _assert_jacobian_is_the_fields(stack, ps.steady_state_solve(stack, 0, x))
+
+
+@pytest.mark.parametrize("name", sorted(registry.BUILTIN_STACKS))
+def test_assembled_jacobian_is_the_conditioned_fields_on_builtins(name):
+    _assert_jacobian_is_the_fields(registry.get_stack(name), registry.equilibrium(name))
 
 
 @settings(derandomize=True, deadline=None)

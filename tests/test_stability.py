@@ -8,7 +8,7 @@ import pytest
 
 import predsens as ps
 from predsens import casestudies as cs
-from predsens import registry, sensitivity
+from predsens import conditioning, registry, sensitivity, stability
 from predsens.bilevel import as_system_stack
 
 
@@ -151,6 +151,27 @@ def test_block_spectra_only_for_exact_sensitivities(r2_stack, scheme, has_blocks
     expected = [-1.0 * gains[0], -0.5 * gains[1]]
     assert ps.match_eigenvalues(np.concatenate(report.block_eigenvalues), expected) <= 1e-12
     assert report.block_spectrum_gap <= 1e-9
+
+
+@pytest.mark.parametrize("make_scheme, tables", [
+    (lambda _stack: ps.PredictiveSensitivity(), 1),
+    (lambda _stack: ps.Preconditioned([2.0, 0.5, 1.5]), 1),
+    (lambda _stack: ps.Plain(), 0),
+    (lambda _stack: ps.SingularPerturbation([1.0, 0.5, 0.25]), 0),
+    (lambda stack: ps.ApproximateSensitivity(ps.frozen_sensitivity_provider(stack, np.zeros(3))),
+     0),
+], ids=["predsens", "precond", "plain", "singular", "frozen"])
+def test_classify_builds_at_most_one_table(linear3_stack, count_calls, make_scheme, tables):
+    """An exact scheme's block spectra are read from the table its Jacobian
+    was assembled from, so a verdict builds one table; any other scheme
+    builds none. (The frozen provider builds its own table when it is made,
+    before the count starts.)"""
+    scheme = make_scheme(linear3_stack)
+    built = [count_calls(conditioning, "total_derivative_table"),
+             count_calls(stability, "total_derivative_table")]
+    report = ps.classify_local_stability(linear3_stack, scheme, np.zeros(3))
+    assert sum(map(len, built)) == tables
+    assert (report.block_eigenvalues is not None) == (tables == 1)
 
 
 def test_classify_requires_steady_point(r2_stack):
