@@ -155,12 +155,14 @@ def compile_scheme(stack: SystemStack, scheme: Scheme | Conditioner) -> Conditio
 def _provided_blocks(stack: SystemStack, sens) -> list[list[Array | None]]:
     """A provider's blocks S[i][j] (j < i) as float arrays, each checked to be
     (dims[i], dims[j]); a missing block or a wrong shape raises
-    :class:`StackDefinitionError` with ``index=i``. A scalar is a 1x1 block, None zero."""
+    :class:`StackDefinitionError` with ``index=i``, and so does a row that is
+    not a sequence (``index=1`` for a whole result that is not). A scalar is a
+    1x1 block, None zero."""
     dims = stack.dims
     out: list[list[Array | None]] = [[]]
     for i in range(1, len(stack)):
-        row = sens[i] if i < len(sens) else ()
-        if len(row) < i:
+        row = sens[i] if i < _sized(sens, "its result", 1) else ()
+        if _sized(row, f"row {i}", i) < i:
             raise StackDefinitionError(f"sensitivity provider returned {len(row)} blocks "
                                        f"S[{i}][j], expected {i}", index=i)
         out.append([])
@@ -174,6 +176,14 @@ def _provided_blocks(stack: SystemStack, sens) -> list[list[Array | None]]:
                         f"{b.shape}, expected {(dims[i], dims[j])}", index=i)
             out[i].append(b)
     return out
+
+
+def _sized(items, what: str, index: int) -> int:
+    try:
+        return len(items)
+    except TypeError:
+        raise StackDefinitionError(f"sensitivity provider returned {items!r} as {what}, "
+                                   f"expected a sequence", index=index) from None
 
 
 def _forward_substitute(cond: Conditioner, sens, blocks: list[Array]) -> list[Array]:

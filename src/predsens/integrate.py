@@ -30,6 +30,9 @@ OVERFLOW_LIMIT = 1e150
 #: run that stops early never reserves memory for the whole grid.
 FIRST_STATE_ROWS = 4096
 
+#: An affine run steps this many rows at most before it checks their norms.
+AFFINE_BLOCK_ROWS = 1024
+
 #: Scheme evaluation failures, the wrong shape of a provider block included.
 _EVALUATION_ERRORS = (SingularMatrixError, ConvergenceError, EvaluationError,
                      StackDefinitionError)
@@ -94,6 +97,13 @@ def _step_map(f, step, dt: float, dim: int) -> tuple[Array, Array]:
     return np.column_stack([step(f, unit, dt) - q for unit in np.eye(dim)]), q
 
 
+def _grown(states: Array, rows: int) -> Array:
+    """``states`` copied into a block four times its length, capped at ``rows``."""
+    grown = np.empty((min(rows, 4 * len(states)), states.shape[1]))
+    grown[:len(states)] = states
+    return grown
+
+
 def integrate_ode(stack: SystemStack, scheme: Scheme, x0,
                   settings: IntegrationSettings) -> Trajectory:
     """Integrate the conditioned field from ``x0`` on a fixed grid.
@@ -106,7 +116,12 @@ def integrate_ode(stack: SystemStack, scheme: Scheme, x0,
 
     When the conditioned field is affine (:func:`~predsens.conditioning.is_affine`)
     one step is the affine map ``x -> P x + q``, built once from the field and
-    iterated on every step of the run.
+    iterated on every step of the run. Those steps go in blocks of up to
+    ``AFFINE_BLOCK_ROWS`` rows, written straight into the state array; the
+    max-norms of a block are then checked together, and the run ends at its
+    first row past the limit, with the same rows and ``diverged_at`` as a
+    check after every step: a finite row past the limit is kept, a
+    non-finite one dropped, and ``diverged_at`` is that row's time.
     """
     x = as_flat(stack, x0)
     if not np.all(np.isfinite(x)):
@@ -129,35 +144,46 @@ def integrate_ode(stack: SystemStack, scheme: Scheme, x0,
     states = np.empty((min(rows, FIRST_STATE_ROWS), x.size))
     states[0] = x
     count = 1
-    diverged = False
     diverged_at = None
-    for k in range(n_steps):
-        t_next = (k + 1) * dt
-        if affine:
-            x_new = p @ x + q
-        else:
+    if affine:
+        # rows after the one that ends a run may overflow; they are dropped
+        with np.errstate(over="ignore", invalid="ignore"):
+            while count < rows and diverged_at is None:
+                if count == len(states):
+                    states = _grown(states, rows)
+                end = min(len(states), count + AFFINE_BLOCK_ROWS)
+                for prev, row in zip(states[count - 1:end - 1], states[count:end]):
+                    np.add(p @ prev, q, out=row)
+                sizes = np.abs(states[count:end]).max(axis=1)
+                past = np.flatnonzero(~(sizes <= limit))  # NaN is past too
+                if past.size:
+                    cut = count + int(past[0])
+                    diverged_at = cut * dt
+                    end = cut + 1 if sizes[past[0]] < np.inf else cut
+                count = end
+    else:
+        for k in range(n_steps):
+            t_next = (k + 1) * dt
             try:
                 x_new = step(f, x, dt)
             except _EVALUATION_ERRORS as exc:
                 exc.time = t_next  # type: ignore[attr-defined]
                 raise
-        size = np.abs(x_new).max()
-        if not size < np.inf:  # NaN fails the comparison too
-            diverged, diverged_at = True, t_next
-            break
-        x = x_new
-        if count == len(states):
-            grown = np.empty((min(rows, 4 * count), x.size))
-            grown[:count] = states
-            states = grown
-        states[count] = x
-        count += 1
-        if size > limit:
-            diverged, diverged_at = True, t_next
-            break
+            size = np.abs(x_new).max()
+            if not size < np.inf:  # NaN fails the comparison too
+                diverged_at = t_next
+                break
+            x = x_new
+            if count == len(states):
+                states = _grown(states, rows)
+            states[count] = x
+            count += 1
+            if size > limit:
+                diverged_at = t_next
+                break
     return Trajectory(times=np.arange(count) * dt,
                       states=states if count == len(states) else states[:count].copy(),
-                      diverged=diverged, diverged_at=diverged_at)
+                      diverged=diverged_at is not None, diverged_at=diverged_at)
 
 
 def manifold_error(stack: SystemStack, trajectory: Trajectory, level: int) -> Array:

@@ -156,11 +156,31 @@ def state_columns(dims: Sequence[int]) -> list[str]:
             for i, d in enumerate(dims) for k in range(d)]
 
 
+#: Rows stacked and formatted per ``%`` operation by :func:`write_csv`. Larger
+#: blocks fragment the heap and raise the peak memory of a long write.
+CSV_BLOCK_ROWS = 64
+
+
 def write_csv(path, header: str, columns: Sequence[Array]) -> None:
     """Write ``columns`` (1-D arrays, or 2-D blocks of columns) side by side
-    under a ``header`` line, every value in round-trip ``.17g`` form."""
-    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",",
-               header=header, comments="")
+    under a ``header`` line, every value in round-trip ``.17g`` form.
+
+    The bytes are those of ``np.savetxt`` with ``fmt="%.17g"``,
+    ``delimiter=","`` and ``comments=""``, but rows are formatted a block at
+    a time. Columns of unequal length raise ``ValueError`` before the file
+    is opened.
+    """
+    lengths = {len(c) for c in columns}
+    if len(lengths) != 1:
+        raise ValueError(f"columns must have one common length, got {sorted(lengths)}")
+    rows = lengths.pop()
+    with open(path, "w", encoding="utf-8") as fh:
+        if header:
+            fh.write(header + "\n")
+        for start in range(0, rows, CSV_BLOCK_ROWS):
+            block = np.column_stack([c[start:start + CSV_BLOCK_ROWS] for c in columns])
+            line = ",".join(["%.17g"] * block.shape[1]) + "\n"
+            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
 def linear_stack(dims: Sequence[int], blocks, offsets=None) -> SystemStack:

@@ -231,13 +231,17 @@ def test_provider_block_of_wrong_shape_names_its_level(block):
         assert err.value.index == 1
 
 
-@pytest.mark.parametrize("rows", [[[None]], [[], []]], ids=["missing-row", "short-row"])
-def test_provider_with_too_few_blocks_names_its_level(r2_stack, rows):
-    """A provider that gives level 1 no block S[1][0] raises for level 1
-    instead of an IndexError, in the field and in the conditioning matrix."""
+@pytest.mark.parametrize("rows, message", [
+    ([[None]], r"0 blocks S\[1\]\[j\]"), ([[], []], r"0 blocks S\[1\]\[j\]"),
+    ([[], None], "None as row 1"), ([[], 0.5], "0.5 as row 1"), (None, "None as its result"),
+], ids=["missing-row", "short-row", "none-row", "scalar-row", "none-result"])
+def test_provider_with_too_few_blocks_names_its_level(r2_stack, rows, message):
+    """A provider that gives level 1 no block S[1][0], or no sequence where
+    its row or its whole result belongs, raises for level 1 instead of an
+    IndexError or TypeError, in the field and in the conditioning matrix."""
     scheme = ps.ApproximateSensitivity(lambda _stack, _x: rows)
     for evaluate in (ps.conditioned_field, ps.conditioning_matrix):
-        with pytest.raises(ps.StackDefinitionError, match=r"0 blocks S\[1\]\[j\]") as err:
+        with pytest.raises(ps.StackDefinitionError, match=message) as err:
             evaluate(r2_stack, scheme, np.ones(2))
         assert err.value.index == 1
 

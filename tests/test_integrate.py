@@ -236,7 +236,8 @@ def test_nonfinite_field_mid_run_carries_its_time():
     assert 0.5 < err.value.time <= 0.7
 
 
-@pytest.mark.parametrize("rows", [[[None]], [[], []]], ids=["missing-row", "short-row"])
+@pytest.mark.parametrize("rows", [[[None]], [[], []], [[], None], [[], 0.5], None],
+                         ids=["missing-row", "short-row", "none-row", "scalar-row", "none-result"])
 def test_provider_with_too_few_blocks_carries_its_time(r2_stack, rows):
     """A provider error is a scheme evaluation failure like any other: it
     names its level and carries the time of the step that met it."""

@@ -6,6 +6,7 @@ import pytest
 import predsens as ps
 from predsens import casestudies as cs
 from predsens import registry
+from predsens.model import write_csv
 from predsens.sensitivity import jacobian_row
 
 
@@ -140,3 +141,39 @@ def test_linear_stack_validation_errors():
         ps.linear_stack([1, 2], [[[[1.0]], [[1.0, 2.0]]],
                                  [[[1.0], [1.0]], [[1.0, 2.0]]]])  # (1,2) wrong shape
     assert err.value.index == 1
+
+
+#: Values whose ``%.17g`` text is easy to get wrong.
+SPECIAL_VALUES = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300])
+
+
+@pytest.mark.parametrize("rows", [0, 1, 63, 64, 65, 20001])
+def test_write_csv_bytes_are_savetxts(tmp_path, rows):
+    """The block writer gives ``np.savetxt``'s bytes on an integer index
+    column and 1-D and 2-D float columns, special values included, at row
+    counts around one 64-row block."""
+    rng = np.random.default_rng(rows)
+    values = rng.normal(size=(rows, 5)) * 10.0 ** rng.integers(-20, 20, size=(rows, 5))
+    flat = values.reshape(-1)
+    k = min(flat.size, SPECIAL_VALUES.size)
+    flat[:k] = SPECIAL_VALUES[:k]
+    flat[flat.size - k:] = SPECIAL_VALUES[:k]
+    columns = [np.arange(rows), values[:, :2], values[:, 2], values[:, 3:]]
+    header = "iter,a_0,a_1,b,c_0,c_1"
+    write_csv(tmp_path / "blocks.csv", header, columns)
+    np.savetxt(tmp_path / "savetxt.csv", np.column_stack(columns), fmt="%.17g", delimiter=",",
+               header=header, comments="")
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
+
+
+def test_write_csv_checks_lengths_before_opening(tmp_path):
+    """Columns of unequal length raise before the file is created, and leave
+    an existing file as it was."""
+    path = tmp_path / "out.csv"
+    with pytest.raises(ValueError):
+        write_csv(path, "a,b", [np.zeros(3), np.zeros((4, 1))])
+    assert not path.exists()
+    path.write_text("kept\n")
+    with pytest.raises(ValueError):
+        write_csv(path, "a,b", [np.zeros(3), np.zeros(4)])
+    assert path.read_text() == "kept\n"

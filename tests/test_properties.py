@@ -1,6 +1,7 @@
 """Property tests over random affine stacks (derandomized, so reproducible)."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -9,9 +10,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 import predsens as ps  # noqa: E402
-from predsens import registry  # noqa: E402
+from predsens import integrate, registry  # noqa: E402
 from predsens.casestudies import bilevel_example_problem  # noqa: E402
-from predsens.conditioning import compile_scheme  # noqa: E402
+from predsens.cli import parse_linear_stack, serialize_linear_stack  # noqa: E402
+from predsens.conditioning import compile_scheme, make_conditioned_field  # noqa: E402
 from predsens.sensitivity import (sensitivity_blocks, solve_checked,  # noqa: E402
                                   steady_state_map)
 from predsens.stability import _sorted_eigs  # noqa: E402
@@ -20,14 +22,14 @@ entries = st.floats(-1.0, 1.0)
 
 
 @st.composite
-def affine_stack_point(draw, max_levels):
+def affine_stack_point(draw, max_levels, shifts=st.just(3.0)):
     """A stack shaped like ``random_linear_suite`` (2..max_levels levels, block
-    dims 1..3, diagonal blocks shifted by -3 I) with offsets, its dense matrix
-    and a point."""
+    dims 1..3, diagonal blocks shifted by -3 I, or by minus a draw from
+    ``shifts``) with offsets, its dense matrix and a point."""
     dims = draw(st.lists(st.integers(1, 3), min_size=2, max_size=max_levels))
     n, total = len(dims), sum(dims)
     a = np.array(draw(st.lists(entries, min_size=total * total, max_size=total * total)))
-    a = a.reshape(total, total) - 3.0 * np.eye(total)
+    a = a.reshape(total, total) - draw(shifts) * np.eye(total)
     off = np.cumsum([0] + dims)
     blocks = [[a[off[i]:off[i + 1], off[j]:off[j + 1]] for j in range(n)] for i in range(n)]
     c = np.array(draw(st.lists(entries, min_size=total, max_size=total)))
@@ -258,3 +260,152 @@ def test_descent_is_iterated_discrete_step(x0, tau, eps):
         assert res == np.hypot(np.linalg.norm(f[:1]), np.linalg.norm(f[1:]))
         if k < log.iterations_used:
             x = ps.discrete_step(scaled, scheme, x)
+
+
+def _per_step_run(stack, scheme, x0, settings):
+    """The affine loop with one ``p @ x + q`` and one max-norm test per step:
+    a finite row past the limit is kept and ends the run, a non-finite one is
+    dropped. Returns the rows and ``diverged_at``."""
+    f = make_conditioned_field(stack, compile_scheme(stack, scheme))
+    step = integrate._rk4_step if settings.method == "rk4" else integrate._euler_step
+    dt = settings.dt
+    p, q = integrate._step_map(f, step, dt, x0.size)
+    limit = min(settings.divergence_threshold, integrate.OVERFLOW_LIMIT)
+    rows, diverged_at = [x0], None
+    with np.errstate(over="ignore", invalid="ignore"):  # the dropped-row runs overflow
+        for k in range(int(round(settings.t_end / dt))):
+            x = p @ rows[-1] + q
+            size = np.abs(x).max()
+            if not size < np.inf:
+                diverged_at = (k + 1) * dt
+                break
+            rows.append(x)
+            if size > limit:
+                diverged_at = (k + 1) * dt
+                break
+    return np.array(rows), diverged_at
+
+
+def growth_run(rate, threshold, steps, small_blocks=False, x0=1.0):
+    """Euler with dt 1 on a slow level ``x' = rate x`` (a fast level decays):
+    from ``(x0, 0)`` row k is ``((1 + rate)^k x0, 0)``."""
+    stack = ps.linear_stack([1, 1], [[[[rate]], [[0.0]]], [[[0.0]], [[-1.0]]]])
+    settings = ps.IntegrationSettings("euler", 1.0, float(steps), divergence_threshold=threshold)
+    return stack, ps.Plain(), np.array([x0, 0.0]), settings, small_blocks
+
+
+def ends_on_row(target, small_blocks=False):
+    """A ``growth_run`` whose first row past the threshold is ``target``."""
+    return growth_run(1 / 64, (1 + 1 / 64) ** (target - 0.5), target + 5, small_blocks)
+
+
+def _assert_blocked_run_is_per_step(case):
+    """``integrate_ode`` gives the rows, times and divergence of
+    ``_per_step_run`` bit for bit, with ``diverged_at`` a float; returns the
+    trajectory."""
+    stack, scheme, x0, run_settings, small_blocks = case
+    rows, diverged_at = _per_step_run(stack, scheme, x0, run_settings)
+    with pytest.MonkeyPatch.context() as mp:
+        if small_blocks:
+            mp.setattr(integrate, "FIRST_STATE_ROWS", 3)
+        traj = ps.integrate_ode(stack, scheme, x0, run_settings)
+    assert traj.states.shape == rows.shape and traj.states.tobytes() == rows.tobytes()
+    assert traj.times.tobytes() == (np.arange(len(rows)) * run_settings.dt).tobytes()
+    assert traj.diverged == (diverged_at is not None)
+    assert traj.diverged_at == diverged_at
+    assert traj.diverged_at is None or type(traj.diverged_at) is float
+    return traj
+
+
+@st.composite
+def affine_run(draw):
+    """A random affine stack (diagonal blocks shifted by -3, 0, +1 or +3 I, so most runs
+    grow),
+    an exact scheme, a start and settings, and whether the state array starts
+    at 3 rows."""
+    stack, _, x = draw(affine_stack_point(3, st.sampled_from([3.0, 0.0, -1.0, -3.0])))
+    n = len(stack)
+    scheme = draw(st.sampled_from([ps.Plain(), ps.SingularPerturbation([1.0] + [0.5] * (n - 1)),
+                                   ps.PredictiveSensitivity()]))
+    dt = draw(st.sampled_from([0.01, 0.05, 0.1, 0.2]))
+    settings = ps.IntegrationSettings(
+        draw(st.sampled_from(["euler", "rk4"])), dt, draw(st.integers(200, 4200)) * dt,
+        divergence_threshold=draw(st.sampled_from([10.0, 1e3, 1e6, np.inf])))
+    return stack, scheme, x, settings, draw(st.booleans())
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(affine_run())
+def test_blocked_affine_run_is_the_per_step_loop(case):
+    """On random affine stacks the blocked loop is the per-step loop, runs
+    that end at a threshold or past ``OVERFLOW_LIMIT`` included."""
+    try:
+        _assert_blocked_run_is_per_step(case)
+    except ps.SingularMatrixError:
+        assume(False)
+
+
+#: Runs that end on a chosen row, as (case, index of the last row kept). With
+#: ``FIRST_STATE_ROWS`` 4096 the blocks start at rows 1, 1025, 2049, 3073 and
+#: 4096 (where the state array grows); with 3, at rows 1, 3, 12 and 48.
+FIXED_RUNS = {
+    **{f"block-edge-{t}": (ends_on_row(t), t) for t in (1, 2, 1023, 1024, 1025, 4095, 4096, 4097)},
+    **{f"small-block-edge-{t}": (ends_on_row(t, True), t) for t in (2, 3, 11, 12, 47, 48)},
+    # 1.5^852 is the first power past OVERFLOW_LIMIT
+    "overflow-limit": (growth_run(0.5, np.inf, 2000), 852),
+    "overflow-limit-small-blocks": (growth_run(0.5, np.inf, 2000, small_blocks=True), 852),
+    "inf-row-dropped": (growth_run(1e300, 1e6, 4, x0=1e10), 0),
+    # 1e310 - 1e310 in one product: NaN, or -inf where the product is fused
+    "cancelling-row-dropped": (
+        (ps.linear_stack([1, 1], [[[[1e300]], [[-1e300]]], [[[0.0]], [[-1.0]]]]), ps.Plain(),
+         np.array([1e10, 1e10]), ps.IntegrationSettings("euler", 1.0, 4.0), False), 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXED_RUNS))
+def test_affine_run_ending_on_a_chosen_row_is_the_per_step_loop(name):
+    """Runs that end on the first, last or next-to-last row of a block, past
+    ``OVERFLOW_LIMIT`` or on a non-finite row (dropped) are the per-step loop
+    too, and end where they are built to."""
+    case, last = FIXED_RUNS[name]
+    traj = _assert_blocked_run_is_per_step(case)
+    assert traj.diverged and traj.diverged_at == float(last + 1 if "dropped" in name else last)
+    assert traj.states.shape[0] == last + 1
+
+
+@settings(derandomize=True, deadline=None)
+@given(affine_stack_point(4))
+def test_linear_stack_json_round_trip_is_exact(case):
+    """``serialize_linear_stack`` -> JSON -> ``parse_linear_stack`` keeps the
+    dims, every block and every offset bit for bit."""
+    stack, a, _ = case
+    config = serialize_linear_stack(stack)
+    again = parse_linear_stack(json.loads(json.dumps(config)))
+    assert again.dims == stack.dims
+    assert serialize_linear_stack(again) == config
+    off, zero = stack.offsets, np.zeros(stack.total_dim)
+    for i, sub in enumerate(again.subsystems):
+        for j, block in enumerate(sub.jacobian(zero)):
+            assert block.tobytes() == a[off[i]:off[i + 1], off[j]:off[j + 1]].tobytes()
+        assert again.field_block(i, zero).tobytes() == stack.field_block(i, zero).tobytes()
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(well_conditioned_affine_stack_point(), st.sampled_from([0.01, 0.1, 0.3]))
+def test_step_map_is_one_step_of_the_per_call_field(case, dt):
+    """``x -> P x + q`` from the compiled field agrees with one Euler and one
+    RK4 step through the per-call field, to 1e-12 of the state scale, under
+    every scheme with an affine field."""
+    stack, x = case
+    n = len(stack)
+    per_call = ps.SystemStack([dataclasses.replace(s, constant_jacobian=False)
+                               for s in stack.subsystems])
+    for scheme in (ps.Plain(), ps.SingularPerturbation([1.0] + [0.5] * (n - 1)),
+                   ps.PredictiveSensitivity(), ps.Preconditioned([float(k + 2) for k in range(n)])):
+        compiled = make_conditioned_field(stack, compile_scheme(stack, scheme))
+        field = make_conditioned_field(per_call, compile_scheme(per_call, scheme))
+        for step in (integrate._euler_step, integrate._rk4_step):
+            p, q = integrate._step_map(compiled, step, dt, x.size)
+            ref = step(field, x, dt)
+            scale = 1.0 + max(np.abs(x).max(), np.abs(ref).max())
+            assert np.abs(p @ x + q - ref).max() <= 1e-12 * scale, (scheme, step)
