@@ -18,8 +18,8 @@ import numpy as np
 
 from .conditioning import Conditioner, PredictiveSensitivity, _forward_substitute, compile_scheme
 from .errors import SingularMatrixError
-from .model import (Array, Subsystem, SystemStack, finite_difference_jacobian, state_columns,
-                    write_csv)
+from .model import (Array, Subsystem, SystemStack, _block, finite_difference_jacobian,
+                    state_columns, write_csv)
 from .sensitivity import STEADY_STATE_TOL, solve_checked, steady_state_solve
 
 Vec = np.ndarray
@@ -50,12 +50,12 @@ class BilevelProblem:
 
     def hess22(self, x1: Vec, x2: Vec) -> Array:
         if self.hess_lower_x2x2 is not None:
-            return np.atleast_2d(np.asarray(self.hess_lower_x2x2(x1, x2), dtype=float))
+            return _block(self.hess_lower_x2x2(x1, x2))
         return finite_difference_jacobian(lambda y: self.grad_lower_x2(x1, y), x2)
 
     def hess21(self, x1: Vec, x2: Vec) -> Array:
         if self.hess_lower_x2x1 is not None:
-            return np.atleast_2d(np.asarray(self.hess_lower_x2x1(x1, x2), dtype=float))
+            return _block(self.hess_lower_x2x1(x1, x2))
         return finite_difference_jacobian(lambda y: self.grad_lower_x2(y, x2), x1)
 
 
@@ -77,7 +77,7 @@ def total_gradient(problem: BilevelProblem, x1, x2) -> Vec:
     """Extended total derivative of the upper objective w.r.t. x1."""
     x1 = _vec(x1, problem.n1, "x1")
     x2 = _vec(x2, problem.n2, "x2")
-    s = sensitivity(problem, x1, x2)
+    s = solve_checked(problem.hess22(x1, x2), -problem.hess21(x1, x2), level=1)
     g1 = np.asarray(problem.grad_upper_x1(x1, x2), dtype=float).reshape(-1)
     g2 = np.asarray(problem.grad_upper_x2(x1, x2), dtype=float).reshape(-1)
     return g1 + s.T @ g2

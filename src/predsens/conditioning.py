@@ -17,7 +17,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .errors import EvaluationError, StackDefinitionError
-from .model import Array, SystemStack, as_flat
+from .model import Array, SystemStack, _block, as_flat
 from .sensitivity import (jacobian_grid, sensitivity_blocks, solve_checked,
                           total_derivative_table)
 
@@ -169,7 +169,7 @@ def _provided_blocks(stack: SystemStack, sens) -> list[list[Array | None]]:
         for j in range(i):
             b = row[j]
             if b is not None:
-                b = np.atleast_2d(np.asarray(b, dtype=float))
+                b = _block(b)
                 if b.shape != (dims[i], dims[j]):
                     raise StackDefinitionError(
                         f"sensitivity provider returned a block S[{i}][{j}] of shape "
@@ -205,7 +205,7 @@ def conditioned_field(stack: SystemStack, scheme: Scheme | Conditioner, point) -
     f_blocks = [stack.field_block(i, x) for i in range(len(stack))]
     sens = None if cond.sens is None else cond.sens(x)
     out = np.concatenate(_forward_substitute(cond, sens, f_blocks))
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise EvaluationError(f"conditioned field is non-finite at {x!r}")
     return out
 
@@ -308,7 +308,10 @@ def frozen_sensitivity_provider(stack: SystemStack, at_point) -> SensProvider:
 def noisy_sensitivity_provider(sigma: float, seed: int = 0) -> SensProvider:
     """Provider adding zero-mean Gaussian noise (scale ``sigma``) to the exact
     sensitivities. The noise is drawn from a generator seeded by ``seed`` and
-    the bytes of the state, so the provider is a function of the state."""
+    the bytes of the state, so the provider is a function of the state.
+    A ``sigma`` that is negative or not finite raises ``ValueError`` here."""
+    if not 0.0 <= sigma < math.inf:
+        raise ValueError(f"sigma must be nonnegative and finite, got {sigma}")
 
     def provider(stack: SystemStack, x: Array):
         x = np.asarray(x, dtype=float)

@@ -24,6 +24,14 @@ JacobianFn = Callable[[Array], Sequence[Array]]
 DEFAULT_FD_STEP = 1e-6
 
 
+def _block(values) -> Array:
+    """``values`` as a float array of at least two dimensions, as
+    ``np.atleast_2d(np.asarray(values, dtype=float))`` gives it, without the
+    ``atleast_2d`` call for an array that is already 2-D."""
+    out = np.asarray(values, dtype=float)
+    return out if out.ndim >= 2 else np.atleast_2d(out)
+
+
 def _frozen(values) -> Array:
     out = np.array(values, dtype=float)
     out.flags.writeable = False
@@ -203,7 +211,7 @@ def linear_stack(dims: Sequence[int], blocks, offsets=None) -> SystemStack:
                 f"block row {i} has {len(blocks[i])} entries, expected {n}", index=i)
         row = []
         for j in range(n):
-            m = np.atleast_2d(np.asarray(blocks[i][j], dtype=float))
+            m = _block(blocks[i][j])
             if m.shape != (dims[i], dims[j]):
                 raise StackDefinitionError(
                     f"block ({i},{j}) has shape {m.shape}, expected ({dims[i]},{dims[j]})",

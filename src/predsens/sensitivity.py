@@ -24,7 +24,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConvergenceError, SingularMatrixError, StackDefinitionError
-from .model import Array, SystemStack, as_flat, finite_difference_jacobian, DEFAULT_FD_STEP
+from .model import (Array, SystemStack, _block, as_flat, finite_difference_jacobian,
+                    DEFAULT_FD_STEP)
 
 #: Diagonal blocks with a 2-norm condition estimate beyond this are treated
 #: as singular (Assumption-style invertibility violation).
@@ -49,17 +50,23 @@ def solve_checked(a: Array, b: Array, level: int | None = None) -> Array:
     column (``b`` of shape ``(1,)`` or ``(1, 1)``) skips the guard and LAPACK
     and returns ``b / a[0, 0]``. That drops no check, since the condition
     number of such a matrix is exactly 1, and the result is bit for bit
-    ``np.linalg.solve``'s, overflow to inf included. The path takes one
-    column only because with more columns LAPACK multiplies by the
-    reciprocal, ``b * (1 / a)``, which rounds differently.
+    ``np.linalg.solve``'s, overflow to inf included. Only a quotient that
+    may leave the float range runs under ``np.errstate(over="ignore")``: one
+    with ``|b| < |pivot| * 2**1000`` stays below ``2**1000``, so it skips the
+    context manager. The path takes one column only because with more
+    columns LAPACK multiplies by the reciprocal, ``b * (1 / a)``, which
+    rounds differently.
     """
-    a = np.atleast_2d(np.asarray(a, dtype=float))
+    a = np.asarray(a, dtype=float)
     b = np.asarray(b)
-    if a.shape == (1, 1) and b.shape in ((1,), (1, 1)) and b.dtype == float:
-        pivot = a[0, 0]
+    if a.size == 1 and a.ndim <= 2 and b.shape in ((1,), (1, 1)) and b.dtype == float:
+        pivot = a.item()
         if pivot != 0.0 and math.isfinite(pivot):
+            if abs(b.item()) < abs(pivot) * 2.0 ** 1000:
+                return b / pivot
             with np.errstate(over="ignore"):
                 return b / pivot
+    a = _block(a)
     if np.isfinite(a).all():
         sv = np.linalg.svd(a, compute_uv=False)
         cond = np.inf if sv[-1] == 0.0 else float(sv[0] / sv[-1])
@@ -82,7 +89,7 @@ def jacobian_row(stack: SystemStack, i: int, x: Array) -> list[Array]:
     """
     sub = stack.subsystems[i]
     if sub.jacobian is not None:
-        row = [np.atleast_2d(np.asarray(b, dtype=float)) for b in sub.jacobian(x)]
+        row = [_block(b) for b in sub.jacobian(x)]
         shapes = [b.shape for b in row]
         expected = [(sub.dim, d) for d in stack.dims]
         if shapes != expected:
@@ -113,17 +120,23 @@ class SensitivityTable:
     sens: list[list[Array | None]]
 
 
-def _eliminate(grid: list, lowest: int) -> tuple[list, list]:
+def _eliminate(grid: list, lowest: int, owned: bool) -> tuple[list, list]:
     """The elimination recursion for levels N-1 down to ``lowest``; it reads
-    the partial rows ``grid[lowest:]`` only and returns ``(total, sens)``."""
+    the partial rows ``grid[lowest:]`` only and returns ``(total, sens)``.
+    Without ``owned``, the fastest level's D blocks are the grid's own,
+    read only by the solves for its S and never written. Every other D
+    block is a new array either way, since products read it and numpy can
+    round a strided block differently from its copy."""
     n = len(grid)
     total: list[list[Array | None]] = [[None] * n for _ in range(n)]
     sens: list[list[Array | None]] = [[None] * n for _ in range(n)]
     for i in range(n - 1, lowest - 1, -1):
         for j in range(n - 1, -1, -1):
-            d = np.array(grid[i][j], dtype=float)
-            for k in range(max(i, j) + 1, n):
-                d += total[i][k] @ sens[k][j]
+            d = grid[i][j]
+            if i < n - 1 or owned:
+                d = np.array(d, dtype=float)
+                for k in range(max(i, j) + 1, n):
+                    d += total[i][k] @ sens[k][j]
             total[i][j] = d
         for j in range(i):
             sens[i][j] = solve_checked(total[i][i], -total[i][j], level=i)
@@ -139,17 +152,18 @@ def total_derivative_table(stack: SystemStack, point) -> SensitivityTable:
     level.
     """
     grid = jacobian_grid(stack, point)
-    total, sens = _eliminate(grid, 0)
+    total, sens = _eliminate(grid, 0, True)
     return SensitivityTable(partial=grid, total=total, sens=sens)  # type: ignore[arg-type]
 
 
 def sensitivity_blocks(stack: SystemStack, point) -> list[list[Array | None]]:
     """The ``sens`` of :func:`total_derivative_table`, bit for bit, from the
     Jacobian rows 1..N-1 alone: the recursion stops at level 1, since row 0
-    feeds no S. A singular D[i][i] raises as in the table."""
+    feeds no S. The fastest level's blocks are read in place, not copied,
+    since only S is returned. A singular D[i][i] raises as in the table."""
     x = as_flat(stack, point)
     grid = [None] + [jacobian_row(stack, i, x) for i in range(1, len(stack))]
-    return _eliminate(grid, 1)[1]
+    return _eliminate(grid, 1, False)[1]
 
 
 def _newton(residual, jacobian, y0: Array, what: str) -> Array:

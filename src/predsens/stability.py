@@ -16,7 +16,7 @@ import numpy as np
 
 from .conditioning import Conditioner, Scheme, compile_scheme, conditioned_jacobian
 from .errors import ConvergenceError, NotSteadyStateError
-from .model import Array, SystemStack, as_flat
+from .model import Array, SystemStack, _block, as_flat
 from .sensitivity import STEADY_STATE_TOL, steady_state_map, total_derivative_table
 
 #: Verdicts stay Marginal while |max Re lambda| <= this.
@@ -34,10 +34,10 @@ class Verdict(str, Enum):
 
 def eigenvalues(matrix) -> Array:
     """All eigenvalues of a square real matrix (LAPACK Hessenberg + QR)."""
-    a = np.atleast_2d(np.asarray(matrix, dtype=float))
+    a = _block(matrix)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     try:
         return np.linalg.eigvals(a)

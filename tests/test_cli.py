@@ -161,6 +161,11 @@ def test_config_errors_exit_2(tmp_path, capsys):
                 "--out", str(tmp_path)]) == EXIT_CONFIG
     assert run(["simulate", "--stack", "r2", "--scheme", "singular:0.5,0.1,0.1",
                 "--out", str(tmp_path)]) == EXIT_CONFIG
+    # a noise scale is checked when the provider is built, not at a field call
+    for sigma in ("-1", "nan"):
+        assert run(["simulate", "--stack", "bilevel-example", "--scheme",
+                    f"approx:noise:{sigma}", "--out", str(tmp_path / "noise")]) == EXIT_CONFIG
+    assert not (tmp_path / "noise").exists()
     assert run(["bilevel", "--method", "gda", "--out", str(tmp_path)]) == EXIT_CONFIG
     assert run(["bilevel", "--example", "other", "--out", str(tmp_path)]) == EXIT_CONFIG
     assert run(["simulate", "--no-such-flag"]) == EXIT_CONFIG

@@ -151,6 +151,19 @@ def test_noisy_provider_is_deterministic(r2_stack):
         a[1][0], ps.total_derivative_table(r2_stack, np.zeros(2)).sens[1][0])
 
 
+@pytest.mark.parametrize("sigma", [-1.0, -5e-324, float("nan"), float("inf"), float("-inf")])
+def test_noisy_provider_rejects_a_bad_sigma_when_built(sigma):
+    with pytest.raises(ValueError, match="sigma must be nonnegative and finite"):
+        ps.noisy_sensitivity_provider(sigma)
+
+
+def test_noisy_provider_with_zero_sigma_is_the_exact_sensitivity(r2_stack):
+    x = np.array([0.3, 0.1])
+    scheme = ps.ApproximateSensitivity(ps.noisy_sensitivity_provider(0.0))
+    exact = ps.conditioned_field(r2_stack, ps.PredictiveSensitivity(), x)
+    assert ps.conditioned_field(r2_stack, scheme, x).tobytes() == exact.tobytes()
+
+
 def test_singular_matrix_gain_raises_everywhere(r2_stack):
     scheme = ps.Preconditioned([np.zeros((1, 1)), 1.0])
     with pytest.raises(ps.SingularMatrixError):

@@ -166,6 +166,34 @@ def test_sensitivity_blocks_are_the_tables_s(case):
             assert ref is None or (blk.shape == ref.shape and blk.tobytes() == ref.tobytes())
 
 
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(st.lists(entries, min_size=25, max_size=25))
+def test_sensitivity_blocks_of_strided_jacobian_views_are_the_tables_s(flat):
+    """A Jacobian may hand out strided views, here every other column of a
+    wider read-only array. numpy multiplies such a view outside BLAS, which
+    can round differently from its copy: with dims (1, 2, 2) the middle
+    level's D[1][2] (2x2) meets the 2x1 S[2][0] in a matrix-vector product.
+    The S-only recursion still gives the table's S bit for bit."""
+    dims, off = (1, 2, 2), (0, 1, 3, 5)
+    a = np.reshape(flat, (5, 5)) - 3.0 * np.eye(5)
+    wide = np.repeat(a, 2, axis=1)
+    wide.flags.writeable = False
+
+    def make(i):
+        rows = slice(off[i], off[i + 1])
+        return ps.Subsystem(dims[i], lambda x: a[rows] @ x,
+                            lambda _x: [wide[rows, 2 * off[j]:2 * off[j + 1]:2] for j in range(3)])
+
+    stack, x = ps.SystemStack([make(i) for i in range(3)]), np.zeros(5)
+    try:
+        sens = ps.total_derivative_table(stack, x).sens
+    except ps.SingularMatrixError:
+        assume(False)
+    for row, ref_row in zip(sensitivity_blocks(stack, x), sens):
+        for blk, ref in zip(row, ref_row):
+            assert ref is None or blk.tobytes() == ref.tobytes()
+
+
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
@@ -173,6 +201,8 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 @given(finite.filter(lambda v: v != 0.0), finite, st.sampled_from([(1,), (1, 1)]))
 @example(5e-324, 1.0, (1,))
 @example(-1e-300, 1e300, (1, 1))
+@example(0.5, 1.7e308, (1,))
+@example(1e-300, -1e-10, (1, 1))
 def test_scalar_block_solve_is_lapacks_bit_for_bit(a, b, shape):
     """A finite nonzero 1x1 block against one right-hand column gives
     ``np.linalg.solve``'s shape and bytes, overflow to inf included, with no
@@ -409,3 +439,150 @@ def test_step_map_is_one_step_of_the_per_call_field(case, dt):
             ref = step(field, x, dt)
             scale = 1.0 + max(np.abs(x).max(), np.abs(ref).max())
             assert np.abs(p @ x + q - ref).max() <= 1e-12 * scale, (scheme, step)
+
+
+@st.composite
+def nonlinear_stack_point(draw):
+    """A 3-level stack with 2-dim levels, ``f_i(x) = A_i x + tanh(B_i x) / 4``
+    with the diagonal blocks of A shifted by -3 I, and a point. Each level
+    has an analytic Jacobian or none (finite differences), as drawn; an
+    analytic one returns read-only blocks, the last of which are kept in the
+    returned dict under the level's index."""
+    a = np.array(draw(st.lists(entries, min_size=36, max_size=36))).reshape(6, 6) - 3.0 * np.eye(6)
+    b = np.array(draw(st.lists(entries, min_size=36, max_size=36))).reshape(6, 6)
+    analytic = draw(st.lists(st.booleans(), min_size=3, max_size=3))
+    returned = {}
+
+    def make(i):
+        rows = slice(2 * i, 2 * i + 2)
+
+        def field(x):
+            return a[rows] @ x + 0.25 * np.tanh(b[rows] @ x)
+
+        def jacobian(x):
+            full = a[rows] + 0.25 * (1.0 - np.tanh(b[rows] @ x) ** 2)[:, None] * b[rows]
+            full.flags.writeable = False
+            returned[i] = [full[:, 2 * j:2 * j + 2] for j in range(3)]
+            return returned[i]
+
+        return ps.Subsystem(2, field, jacobian if analytic[i] else None)
+
+    x = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6)))
+    return ps.SystemStack([make(i) for i in range(3)]), returned, x
+
+
+def _five_schemes(stack, seed):
+    """The five schemes, the approximate one with a noisy and with a frozen
+    provider; the preconditioned one has a scalar gain on level 0 and matrix
+    gains on the others."""
+    n, dims = len(stack), stack.dims
+    x0 = np.zeros(stack.total_dim)
+    return [ps.Plain(), ps.SingularPerturbation([1.0] + [0.5] * (n - 1)),
+            ps.PredictiveSensitivity(),
+            ps.Preconditioned([2.0] + [np.eye(d) + 0.25 * np.ones((d, d)) for d in dims[1:]]),
+            ps.ApproximateSensitivity(ps.noisy_sensitivity_provider(0.1, seed)),
+            ps.ApproximateSensitivity(ps.frozen_sensitivity_provider(stack, x0))]
+
+
+def _reference_field(stack, scheme, x):
+    """M^{-1} f at ``x`` from public pieces: the field blocks, the table's
+    (or the provider's) S and the scheme's gains, forward-substituted here."""
+    n, dims = len(stack), stack.dims
+    f = [stack.field_block(i, x) for i in range(n)]
+    sens, gains = None, [lambda v: v] * n
+    if isinstance(scheme, ps.SingularPerturbation):
+        gains = [lambda v, e=e: v / e for e in scheme.epsilons]
+    if isinstance(scheme, (ps.PredictiveSensitivity, ps.Preconditioned)):
+        sens = ps.total_derivative_table(stack, x).sens
+    if isinstance(scheme, ps.Preconditioned):
+        mats = [g * np.eye(d) if np.ndim(g) == 0 else g for g, d in zip(scheme.gains, dims)]
+        gains = [lambda v, h=h: h @ v for h in mats]
+    if isinstance(scheme, ps.ApproximateSensitivity):
+        sens = [[None if blk is None else np.atleast_2d(np.asarray(blk, dtype=float))
+                 for blk in row] for row in scheme.provider(stack, x)]
+    xdot = []
+    for i in range(n):
+        v = gains[i](f[i])
+        for j in range(i):
+            if sens is not None and sens[i][j] is not None:
+                v = v + sens[i][j] @ xdot[j]
+        xdot.append(v)
+    return np.concatenate(xdot)
+
+
+def _assert_fields_are_the_reference(stack, x, seed):
+    for scheme in _five_schemes(stack, seed):
+        try:
+            ref = _reference_field(stack, scheme, x)
+        except ps.SingularMatrixError:
+            with pytest.raises(ps.SingularMatrixError):
+                ps.conditioned_field(stack, scheme, x)
+            continue
+        got = ps.conditioned_field(stack, scheme, x)
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), scheme
+        closure = make_conditioned_field(stack, scheme)
+        assert closure(x).tobytes() == ref.tobytes(), scheme
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(in_basin_start, st.integers(0, 2 ** 31))
+def test_bilevel_field_is_the_reference_bit_for_bit(x, seed):
+    """On the bundled bilevel example, at in-basin points, the per-call
+    conditioned field of every scheme is the field written out from public
+    pieces, bit for bit."""
+    _assert_fields_are_the_reference(registry.get_stack("bilevel-example"), x, seed)
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(nonlinear_stack_point(), st.integers(0, 2 ** 31))
+def test_nonlinear_field_is_the_reference_bit_for_bit(case, seed):
+    """The same on nonlinear 3-level stacks with 2-dim levels; the table's D
+    blocks are writable arrays that share no memory with the read-only
+    blocks the Jacobian returned, and the S-only recursion, which reads those
+    blocks without copying them, gives the table's S bit for bit."""
+    stack, returned, x = case
+    _assert_fields_are_the_reference(stack, x, seed)
+    try:
+        table = ps.total_derivative_table(stack, x)
+    except ps.SingularMatrixError:
+        return
+    own = [blk for row in returned.values() for blk in row]
+    for row in table.total:
+        for d in row:
+            assert d.flags.writeable and not any(np.shares_memory(d, blk) for blk in own)
+    for row, ref_row in zip(sensitivity_blocks(stack, x), table.sens):
+        for blk, ref in zip(row, ref_row):
+            assert (blk is None) == (ref is None)
+            assert ref is None or blk.tobytes() == ref.tobytes()
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(affine_stack_point(3, st.floats(2.0, 3.0)),
+       st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=3, max_size=3))
+def test_exact_schemes_keep_the_steady_state_manifold(case, gains):
+    """The feed-forward term lets the faster levels anticipate the slower
+    ones: from a start with every level from 1 on at its steady state, RK4
+    under ``PredictiveSensitivity`` and under scalar-gain ``Preconditioned``
+    keeps ``manifold_error`` at rounding level (1e-12) of the state scale,
+    while ``Plain`` from the same start leaves the manifold by more than
+    1e-6 of it. Drawn stacks whose manifold barely moves at the start
+    (``|S[1][0] f_0|`` below 1e-3 of the state scale) say nothing and are
+    skipped."""
+    stack, _, x = case
+    cut = stack.offsets[1]
+    try:
+        start = np.concatenate([x[:cut], steady_state_map(stack, 1)(x[None, :])[0]])
+        sens = ps.total_derivative_table(stack, start).sens
+    except ps.SingularMatrixError:
+        assume(False)
+    speed = np.linalg.norm(sens[1][0] @ stack.field_block(0, start))
+    assume(speed >= 1e-3 * (1.0 + np.abs(start).max()))
+    run = ps.IntegrationSettings("rk4", 0.01, 1.0)
+    for scheme in (ps.PredictiveSensitivity(), ps.Preconditioned(gains[:len(stack)]), ps.Plain()):
+        traj = ps.integrate_ode(stack, scheme, start, run)
+        scale = 1.0 + np.abs(traj.states).max()
+        err = np.max(ps.manifold_error(stack, traj, 1)) / scale
+        if isinstance(scheme, ps.Plain):
+            assert err > 1e-6
+        else:
+            assert err <= 1e-12, scheme
