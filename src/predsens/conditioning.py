@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import EvaluationError, StackDefinitionError
 from .model import Array, SystemStack, _block, as_flat
-from .sensitivity import (jacobian_grid, sensitivity_blocks, solve_checked,
+from .sensitivity import (_dense, jacobian_grid, sensitivity_blocks, solve_checked,
                           total_derivative_table)
 
 
@@ -222,8 +222,9 @@ def make_conditioned_field(stack: SystemStack, scheme: Scheme) -> Callable[[Arra
     """Closure over (stack, scheme) for tight integration loops.
 
     When :func:`is_affine` holds, the affine map ``x -> A_c x + b_c`` is
-    compiled here once, through :func:`conditioning_matrix` at the origin,
-    which is also where a singular diagonal block raises. Otherwise every
+    compiled here once, through :func:`conditioned_jacobian` at the origin
+    (``b_c`` is its ``apply_inverse`` of ``f(0)``), which is also where a
+    singular diagonal block raises. Otherwise every
     call evaluates :func:`conditioned_field` afresh on the scheme compiled
     here once.
     """
@@ -276,17 +277,31 @@ def conditioning_matrix(stack: SystemStack, scheme: Scheme | Conditioner, point)
 
 
 def conditioned_jacobian(stack: SystemStack, scheme: Scheme | Conditioner, x: Array):
-    """M^{-1} grad f at ``x``, assembled column by column through ``apply_inverse``
-    of :func:`conditioning_matrix`, as ``(jac, apply_inverse, table)``. An exact
-    conditioner reads grad f and S from one :func:`total_derivative_table`,
-    returned as ``table``; any other conditioner builds none (``table`` is None)."""
+    """M^{-1} grad f at ``x``, as ``(jac, apply_inverse, table)``, ``apply_inverse``
+    being that of :func:`conditioning_matrix`. The columns of grad f are
+    forward-substituted as one batch of ``(d_i, 1)`` columns per level, so numpy
+    runs, per column, the matrix-vector products ``apply_inverse`` would run on
+    it: ``jac`` is ``apply_inverse`` applied column by column, bit for bit. An
+    exact conditioner reads grad f and S from one :func:`total_derivative_table`,
+    returned as ``table``; any other conditioner builds none (``table`` is None)
+    and calls its provider, if any, once."""
     cond = compile_scheme(stack, scheme)
-    table = total_derivative_table(stack, x) if cond.exact else None
-    if table is not None:
-        cond = replace(cond, sens=lambda _x: table.sens)
-    grad = np.block(jacobian_grid(stack, x) if table is None else table.partial)
+    if cond.exact:
+        table = total_derivative_table(stack, x)
+        sens = table.sens
+    else:
+        table = None
+        sens = None if cond.sens is None else cond.sens(x)
+    if sens is not None:
+        cond = replace(cond, sens=lambda _x: sens)
+    off = stack.offsets
+    grad = _dense(jacobian_grid(stack, x) if table is None else table.partial, off)
     _, apply_inverse = conditioning_matrix(stack, cond, x)
-    return np.column_stack([apply_inverse(col) for col in grad.T]), apply_inverse, table
+    cols = grad.T  # row k is column k of grad f
+    xdot = _forward_substitute(cond, sens, [cols[:, off[i]:off[i + 1], None]
+                                            for i in range(len(stack))])
+    jac = np.concatenate(xdot, axis=1).reshape(stack.total_dim, stack.total_dim).T.copy()
+    return jac, apply_inverse, table
 
 
 def discrete_step(stack: SystemStack, scheme: Scheme, point) -> Array:

@@ -107,6 +107,16 @@ def jacobian_grid(stack: SystemStack, point) -> list[list[Array]]:
     return [jacobian_row(stack, i, x) for i in range(len(stack))]
 
 
+def _dense(grid: list[list[Array]], offsets) -> Array:
+    """``np.block(grid)`` for a square grid of blocks ``grid[i][j]`` of shape
+    ``(dims[i], dims[j])``: each block copied in at its offsets."""
+    out = np.empty((offsets[-1], offsets[-1]))
+    for i, row in enumerate(grid):
+        for j, blk in enumerate(row):
+            out[offsets[i]:offsets[i + 1], offsets[j]:offsets[j + 1]] = blk
+    return out
+
+
 @dataclass
 class SensitivityTable:
     """Partial, total, and sensitivity blocks evaluated at one point.

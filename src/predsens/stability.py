@@ -17,7 +17,7 @@ import numpy as np
 from .conditioning import Conditioner, Scheme, compile_scheme, conditioned_jacobian
 from .errors import ConvergenceError, NotSteadyStateError
 from .model import Array, SystemStack, _block, as_flat
-from .sensitivity import STEADY_STATE_TOL, steady_state_map, total_derivative_table
+from .sensitivity import STEADY_STATE_TOL, _dense, steady_state_map, total_derivative_table
 
 #: Verdicts stay Marginal while |max Re lambda| <= this.
 STABILITY_TOL = 1e-9
@@ -46,15 +46,21 @@ def eigenvalues(matrix) -> Array:
 
 
 def match_eigenvalues(a, b) -> float:
-    """Greedy multiset matching distance between two eigenvalue lists."""
-    a = list(np.asarray(a, dtype=complex))
-    b = list(np.asarray(b, dtype=complex))
+    """Greedy multiset matching distance between two eigenvalue lists: each
+    entry of ``a`` in turn takes the nearest remaining entry of ``b`` (the
+    first of equally near ones), and the largest distance taken is returned,
+    ``inf`` for lists of different lengths. The distances are Python
+    ``complex`` differences and ``abs``, which round as numpy's scalars do."""
+    a = np.asarray(a, dtype=complex).tolist()
+    b = np.asarray(b, dtype=complex).tolist()
     if len(a) != len(b):
-        return np.inf
+        return math.inf
     worst = 0.0
     for lam in a:
-        k = int(np.argmin([abs(lam - mu) for mu in b]))
-        worst = max(worst, abs(lam - b.pop(k)))
+        dists = [abs(lam - mu) for mu in b]
+        k = dists.index(min(dists))
+        del b[k]
+        worst = max(worst, dists[k])
     return worst
 
 
@@ -117,7 +123,7 @@ def block_triangular_form(stack: SystemStack, point) -> BlockTriangularForm:
             t[off[i]:off[i + 1], off[j]:off[j + 1]] = table.sens[i][j]
         transforms.append(t)
         minv = minv @ t
-    grad = np.block(table.partial)
+    grad = _dense(table.partial, off)
     a_tilde = grad @ minv
     diag = [table.total[i][i] for i in range(n)]
     gap = match_eigenvalues(eigenvalues(a_tilde),
@@ -183,10 +189,9 @@ def classify_local_stability(stack: SystemStack, scheme: Scheme, steady_point,
         # roughly eps**(1/m) for a cluster of size m, so the cross-check
         # loosens when the block spectrum itself is clustered.
         scale = 1.0 + float(np.max(np.abs(union)))
-        sep = np.inf
-        for a in range(union.size):
-            for b in range(a + 1, union.size):
-                sep = min(sep, abs(union[a] - union[b]))
+        spectrum = union.tolist()
+        sep = min((abs(u - v) for k, u in enumerate(spectrum) for v in spectrum[k + 1:]),
+                  default=math.inf)
         limit = 1e-6 * scale
         if sep <= 100.0 * limit:
             limit = max(limit, 50.0 * float(np.finfo(float).eps) ** 0.25 * scale)
@@ -233,7 +238,11 @@ def _check_spd(name: str, mats: list[Array], dims) -> list[Array]:
 
 
 def contraction_check(stack: SystemStack, p, q, sample_points) -> ContractionCertificate:
-    """Check the per-level contraction inequalities at the sample points."""
+    """Check the per-level contraction inequalities at the sample points.
+
+    On an affine stack (every subsystem declares ``constant_jacobian``) the
+    blocks D[i][i] are the same at every point, so one table, built at the
+    first point, stands for all of them."""
     n = len(stack)
     p, q = list(p), list(q)
     if len(p) != n or len(q) != n:
@@ -241,6 +250,8 @@ def contraction_check(stack: SystemStack, p, q, sample_points) -> ContractionCer
     p_mats = _check_spd("P", p, stack.dims)
     q_mats = _check_spd("Q", q, stack.dims)
     pts = [as_flat(stack, pt) for pt in sample_points]
+    if stack.constant_jacobian:
+        pts = pts[:1]
     bound = [2.0 * float(np.linalg.norm(p_mats[i], 2)) / float(np.min(np.linalg.eigvalsh(q_mats[i])))
              for i in range(n)]
     max_res = [-np.inf] * n

@@ -13,7 +13,8 @@ import predsens as ps  # noqa: E402
 from predsens import integrate, registry  # noqa: E402
 from predsens.casestudies import bilevel_example_problem  # noqa: E402
 from predsens.cli import parse_linear_stack, serialize_linear_stack  # noqa: E402
-from predsens.conditioning import compile_scheme, make_conditioned_field  # noqa: E402
+from predsens.conditioning import (compile_scheme, conditioned_jacobian,  # noqa: E402
+                                   make_conditioned_field)
 from predsens.sensitivity import (sensitivity_blocks, solve_checked,  # noqa: E402
                                   steady_state_map)
 from predsens.stability import _sorted_eigs  # noqa: E402
@@ -22,11 +23,11 @@ entries = st.floats(-1.0, 1.0)
 
 
 @st.composite
-def affine_stack_point(draw, max_levels, shifts=st.just(3.0)):
+def affine_stack_point(draw, max_levels, shifts=st.just(3.0), max_dim=3):
     """A stack shaped like ``random_linear_suite`` (2..max_levels levels, block
-    dims 1..3, diagonal blocks shifted by -3 I, or by minus a draw from
+    dims 1..max_dim, diagonal blocks shifted by -3 I, or by minus a draw from
     ``shifts``) with offsets, its dense matrix and a point."""
-    dims = draw(st.lists(st.integers(1, 3), min_size=2, max_size=max_levels))
+    dims = draw(st.lists(st.integers(1, max_dim), min_size=2, max_size=max_levels))
     n, total = len(dims), sum(dims)
     a = np.array(draw(st.lists(entries, min_size=total * total, max_size=total * total)))
     a = a.reshape(total, total) - draw(shifts) * np.eye(total)
@@ -214,10 +215,11 @@ def test_scalar_block_solve_is_lapacks_bit_for_bit(a, b, shape):
 
 
 @st.composite
-def scheme_and_vector(draw):
+def scheme_and_vector(draw, max_dim=3):
     """An ``affine_stack_point`` with one of the five schemes for its levels
-    and a vector to condition."""
-    stack, _, x = draw(affine_stack_point(4))
+    and a vector to condition. The approximate scheme's provider is noisy, or
+    frozen at a drawn point."""
+    stack, _, x = draw(affine_stack_point(4, max_dim=max_dim))
     n, dims = len(stack), stack.dims
     kind = draw(st.sampled_from(["plain", "singular", "predsens", "precond", "approx"]))
     if kind == "plain":
@@ -236,9 +238,16 @@ def scheme_and_vector(draw):
                 flat = draw(st.lists(st.floats(-0.4, 0.4), min_size=d * d, max_size=d * d))
                 gains.append(2.0 * np.eye(d) + np.reshape(flat, (d, d)))
         scheme = ps.Preconditioned(gains)
-    else:
+    elif draw(st.booleans()):
         scheme = ps.ApproximateSensitivity(
             ps.noisy_sensitivity_provider(0.1, draw(st.integers(0, 2 ** 31))))
+    else:
+        at = draw(st.lists(st.floats(-10.0, 10.0), min_size=stack.total_dim,
+                           max_size=stack.total_dim))
+        try:
+            scheme = ps.ApproximateSensitivity(ps.frozen_sensitivity_provider(stack, at))
+        except ps.SingularMatrixError:
+            assume(False)
     v = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=stack.total_dim,
                                max_size=stack.total_dim)))
     return stack, scheme, x, v
@@ -256,6 +265,62 @@ def test_conditioning_matrix_inverts_its_apply_inverse(case):
         assume(False)
     w = apply_inverse(v)
     assert np.linalg.norm(m @ w - v) <= 1e-12 * np.linalg.norm(np.abs(m) @ np.abs(w))
+
+
+@settings(derandomize=True, deadline=None)
+@given(scheme_and_vector(max_dim=6))
+def test_conditioned_jacobian_is_apply_inverse_column_by_column(case):
+    """The batched Jacobian equals, bit for bit, ``apply_inverse`` of
+    ``conditioning_matrix`` applied to one column of grad f at a time, and is
+    C-ordered, so a product with it rounds as one with that column stack."""
+    stack, scheme, x, _ = case
+    try:
+        jac = conditioned_jacobian(stack, scheme, x)[0]
+        apply_inverse = ps.conditioning_matrix(stack, scheme, x)[1]
+    except ps.SingularMatrixError:
+        assume(False)
+    grad = np.block(ps.jacobian_grid(stack, x))
+    ref = np.column_stack([apply_inverse(col) for col in grad.T])
+    assert jac.flags.c_contiguous
+    assert jac.shape == ref.shape
+    assert np.array_equal(jac.view(np.uint64), ref.view(np.uint64))
+
+
+def _match_reference(a, b):
+    """``match_eigenvalues`` on numpy scalars: ``np.argmin`` over the
+    ``abs`` of ``np.complex128`` differences."""
+    a, b = list(np.asarray(a, dtype=complex)), list(np.asarray(b, dtype=complex))
+    if len(a) != len(b):
+        return np.inf
+    worst = 0.0
+    for lam in a:
+        k = int(np.argmin([abs(lam - mu) for mu in b]))
+        worst = max(worst, abs(lam - b.pop(k)))
+    return worst
+
+
+@st.composite
+def spectrum(draw):
+    """Real eigenvalues and conjugate pairs, some of them repeated."""
+    reals = draw(st.lists(st.floats(-10.0, 10.0), max_size=4))
+    pairs = draw(st.lists(st.tuples(st.floats(-10.0, 10.0), st.floats(1e-3, 10.0)), max_size=3))
+    lams = [complex(r) for r in reals] + [complex(re, s * im) for re, im in pairs for s in (1, -1)]
+    return lams + (draw(st.lists(st.sampled_from(lams), max_size=3)) if lams else [])
+
+
+@settings(derandomize=True, deadline=None)
+@given(spectrum(), spectrum(), st.data())
+def test_match_eigenvalues_is_the_numpy_scalar_reference(a, other, data):
+    """On a permuted copy of ``a`` whose entries moved by 0 or by rounding-sized
+    to unit-sized steps, and on an unrelated spectrum (often of another
+    length), the distance is the numpy-scalar reference's, as a Python float."""
+    steps = st.sampled_from([0.0, 1e-15, 1e-9, 1e-3, 1.0])
+    moved = [mu + complex(data.draw(steps), data.draw(steps))
+             for mu in data.draw(st.permutations(a))]
+    for b in (moved, other):
+        got = ps.match_eigenvalues(a, b)
+        assert type(got) is float
+        assert got == _match_reference(a, b)
 
 
 EXAMPLE = bilevel_example_problem()

@@ -22,6 +22,19 @@ def test_eigenvalues_rotation_and_companion_and_diagonal():
                                 [2.5, -3.0]) <= 1e-14
 
 
+def test_match_eigenvalues_ties_lengths_and_empty_lists():
+    """A tie goes to the first nearest entry: 0 takes 1 before -1 (then -1
+    meets -1), and 0 takes 1j before -1j (then 1j meets -1j). Lists of different
+    lengths are infinitely apart, and two empty lists 0.0 apart; every
+    distance is a Python float."""
+    assert ps.match_eigenvalues([0.0, -1.0], [1.0, -1.0]) == 1.0
+    assert ps.match_eigenvalues([0.0, 1j], [1j, -1j]) == 2.0
+    assert ps.match_eigenvalues([1.0], [1.0, 2.0]) == np.inf
+    assert ps.match_eigenvalues([], [1.0]) == np.inf
+    empty = ps.match_eigenvalues([], np.array([]))
+    assert empty == 0.0 and type(empty) is float
+
+
 def test_eigenvalues_residuals_with_recomputed_eigenvectors():
     """For each eigenvalue, the smallest-singular-direction of (A - lam I)
     satisfies norm(A v - lam v) <= 1e-8 norm(A)."""
@@ -264,14 +277,49 @@ def test_contraction_needs_one_matrix_per_level(r2_stack):
             ps.contraction_check(r2_stack, p, q, [[1.0, 0.5]])
 
 
+def _per_point(stack):
+    """``stack`` with its ``constant_jacobian`` declarations dropped, so every
+    check on it works point by point."""
+    return ps.SystemStack([dataclasses.replace(s, constant_jacobian=False)
+                           for s in stack.subsystems])
+
+
+def test_contraction_builds_one_table_on_an_affine_stack(r2_stack, count_calls):
+    """On an affine stack every point has the same D[i][i], so one table
+    stands for 300 points; a non-affine stack still needs one per point."""
+    built = count_calls(stability, "total_derivative_table")
+    points = np.random.default_rng(4).uniform(-5.0, 5.0, (300, 2))
+    ps.contraction_check(r2_stack, [1.0, 1.0], [2.0, 1.0], points)
+    assert len(built) == 1
+    bilevel = registry.get_stack("bilevel-example")
+    ps.contraction_check(bilevel, [1.0, 1.0], [1.0, 1.0], points[:7] / 20.0)
+    assert len(built) == 1 + 7
+
+
+@pytest.mark.parametrize("name", ["r2", "rlc", "cascade", "linear3"])
+def test_affine_contraction_matches_the_per_point_check(name):
+    """The one-table certificate of an affine stack equals, field for field,
+    the one checked at every point, and so does that of no points at all:
+    nothing to violate, no residual and no inverse norm seen."""
+    stack = registry.get_stack(name)
+    n = len(stack)
+    rng = np.random.default_rng(5)
+    points = registry.equilibrium(name) + rng.uniform(-1.0, 1.0, (20, stack.total_dim))
+    p, q = [1.0] * n, [2.0] * n
+    for pts in (points, []):
+        cert = ps.contraction_check(stack, p, q, pts)
+        assert cert == ps.contraction_check(_per_point(stack), p, q, pts)
+    assert cert == ps.ContractionCertificate(True, cert.inverse_bound, [-np.inf] * n,
+                                             [0.0] * n, True)
+
+
 def test_affine_margins_match_per_point_solves(r2_stack):
     """The margins read from the once-built steady-state maps agree with
     per-point steady-state solves and reduced fields to 1e-12."""
     rng = np.random.default_rng(10)
     stacks = [r2_stack, registry.get_stack("linear3"), cs.cascade_stack(cs.CascadeParams(), 1.0)]
     for stack in stacks:
-        per_point = ps.SystemStack([dataclasses.replace(s, constant_jacobian=False)
-                                    for s in stack.subsystems])
+        per_point = _per_point(stack)
         points = [rng.uniform(-2.0, 2.0, stack.total_dim) for _ in range(20)]
         cert = ps.contraction_check(stack, [1.0] * len(stack), [1.0] * len(stack), points)
         fast = ps.distance_bound_margins(stack, cert, points)
