@@ -224,9 +224,11 @@ def make_conditioned_field(stack: SystemStack, scheme: Scheme) -> Callable[[Arra
     When :func:`is_affine` holds, the affine map ``x -> A_c x + b_c`` is
     compiled here once, through :func:`conditioned_jacobian` at the origin
     (``b_c`` is its ``apply_inverse`` of ``f(0)``), which is also where a
-    singular diagonal block raises. Otherwise every
-    call evaluates :func:`conditioned_field` afresh on the scheme compiled
-    here once.
+    singular diagonal block raises; a call whose value is non-finite, by
+    overflow included, raises :class:`EvaluationError` without a warning, so
+    :func:`~predsens.integrate.integrate_ode` refuses such a field at time
+    0.0, while it builds its step map. Otherwise every call evaluates
+    :func:`conditioned_field` afresh on the scheme compiled here once.
     """
     cond = compile_scheme(stack, scheme)
     if not is_affine(stack, cond):
@@ -236,7 +238,8 @@ def make_conditioned_field(stack: SystemStack, scheme: Scheme) -> Callable[[Arra
     b_c = apply_inverse(stack.field(origin))
 
     def field(x: Array) -> Array:
-        out = a_c @ x + b_c
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = a_c @ x + b_c
         if not np.isfinite(out).all():
             raise EvaluationError(f"conditioned field is non-finite at {x!r}")
         return out

@@ -92,9 +92,14 @@ def _rk4_step(f, x: Array, dt: float) -> Array:
 
 def _step_map(f, step, dt: float, dim: int) -> tuple[Array, Array]:
     """``(P, q)`` with ``step(f, x, dt) == P @ x + q`` for an affine ``f``,
-    built from ``dim + 1`` steps of ``f`` itself."""
-    q = step(f, np.zeros(dim), dt)
-    return np.column_stack([step(f, unit, dt) - q for unit in np.eye(dim)]), q
+    built from ``dim + 1`` steps of ``f`` itself; a non-finite entry raises
+    :class:`EvaluationError`."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = step(f, np.zeros(dim), dt)
+        p = np.column_stack([step(f, unit, dt) - q for unit in np.eye(dim)])
+    if not (np.isfinite(p).all() and np.isfinite(q).all()):
+        raise EvaluationError(f"affine step map is non-finite at dt={dt}")
+    return p, q
 
 
 def _grown(states: Array, rows: int) -> Array:
@@ -111,76 +116,59 @@ def integrate_ode(stack: SystemStack, scheme: Scheme, x0,
     Stops early (diverged=True) once any state exceeds the divergence
     threshold or ``OVERFLOW_LIMIT`` in max-norm, or turns non-finite. Scheme
     evaluation failures propagate with the failing time attached as
-    ``exc.time``; a failure found while compiling an affine field is
-    reported at time 0.0.
+    ``exc.time``: the time of the step that met them, or 0.0 for one met
+    before the first step, such as a singular diagonal block or a
+    non-finite value found while compiling the field or its step map.
 
     When the conditioned field is affine (:func:`~predsens.conditioning.is_affine`)
     one step is the affine map ``x -> P x + q``, built once from the field and
-    iterated on every step of the run. Those steps go in blocks of up to
-    ``AFFINE_BLOCK_ROWS`` rows, written straight into the state array; the
-    max-norms of a block are then checked together, and the run ends at its
-    first row past the limit, with the same rows and ``diverged_at`` as a
-    check after every step: a finite row past the limit is kept, a
-    non-finite one dropped, and ``diverged_at`` is that row's time.
+    iterated on every step of the run, up to ``AFFINE_BLOCK_ROWS`` rows at a
+    time; any other field is stepped one row at a time, each step from the
+    array the previous one returned. Either way the new rows are written
+    into the state array and checked together: the run ends at their first
+    row past the limit, which is kept if finite and dropped if not, and
+    ``diverged_at`` is that row's time.
     """
     x = as_flat(stack, x0)
     if not np.all(np.isfinite(x)):
         raise ValueError("initial state must be finite")
+    step = _rk4_step if settings.method == "rk4" else _euler_step
+    dt = settings.dt
+    rows = int(round(settings.t_end / dt)) + 1
+    limit = min(settings.divergence_threshold, OVERFLOW_LIMIT)
+    states = np.empty((min(rows, FIRST_STATE_ROWS), x.size))
+    states[0] = x
+    count = 0  # rows written; a failure before the first step is at time 0.0
+    diverged_at = None
     try:
         cond = conditioning.compile_scheme(stack, scheme)  # the one compile of this run
         f = make_conditioned_field(stack, cond)
-    except _EVALUATION_ERRORS as exc:
-        exc.time = 0.0  # type: ignore[attr-defined]
-        raise
-    step = _rk4_step if settings.method == "rk4" else _euler_step
-    n_steps = int(round(settings.t_end / settings.dt))
-    dt = settings.dt
-    affine = is_affine(stack, cond)
-    if affine:
-        p, q = _step_map(f, step, dt, x.size)
-    limit = min(settings.divergence_threshold, OVERFLOW_LIMIT)
-
-    rows = n_steps + 1
-    states = np.empty((min(rows, FIRST_STATE_ROWS), x.size))
-    states[0] = x
-    count = 1
-    diverged_at = None
-    if affine:
-        # rows after the one that ends a run may overflow; they are dropped
-        with np.errstate(over="ignore", invalid="ignore"):
-            while count < rows and diverged_at is None:
-                if count == len(states):
-                    states = _grown(states, rows)
-                end = min(len(states), count + AFFINE_BLOCK_ROWS)
-                for prev, row in zip(states[count - 1:end - 1], states[count:end]):
-                    np.add(p @ prev, q, out=row)
-                sizes = np.abs(states[count:end]).max(axis=1)
-                past = np.flatnonzero(~(sizes <= limit))  # NaN is past too
-                if past.size:
-                    cut = count + int(past[0])
-                    diverged_at = cut * dt
-                    end = cut + 1 if sizes[past[0]] < np.inf else cut
-                count = end
-    else:
-        for k in range(n_steps):
-            t_next = (k + 1) * dt
-            try:
-                x_new = step(f, x, dt)
-            except _EVALUATION_ERRORS as exc:
-                exc.time = t_next  # type: ignore[attr-defined]
-                raise
-            size = np.abs(x_new).max()
-            if not size < np.inf:  # NaN fails the comparison too
-                diverged_at = t_next
-                break
-            x = x_new
+        affine = is_affine(stack, cond)
+        if affine:
+            p, q = _step_map(f, step, dt, x.size)
+        count = 1
+        while count < rows and diverged_at is None:
             if count == len(states):
                 states = _grown(states, rows)
-            states[count] = x
-            count += 1
-            if size > limit:
-                diverged_at = t_next
-                break
+            if affine:
+                end = min(len(states), count + AFFINE_BLOCK_ROWS)
+                # rows after the one that ends a run may overflow; they are dropped
+                with np.errstate(over="ignore", invalid="ignore"):
+                    for prev, row in zip(states[count - 1:end - 1], states[count:end]):
+                        np.add(p @ prev, q, out=row)
+            else:
+                end = count + 1
+                x = states[count] = step(f, x, dt)
+            sizes = np.abs(states[count:end]).max(axis=1)
+            past = np.flatnonzero(~(sizes <= limit))  # NaN is past too
+            if past.size:
+                cut = count + int(past[0])
+                diverged_at = cut * dt
+                end = cut + 1 if sizes[past[0]] < np.inf else cut
+            count = end
+    except _EVALUATION_ERRORS as exc:
+        exc.time = count * dt  # type: ignore[attr-defined]
+        raise
     return Trajectory(times=np.arange(count) * dt,
                       states=states if count == len(states) else states[:count].copy(),
                       diverged=diverged_at is not None, diverged_at=diverged_at)

@@ -1,6 +1,7 @@
 """Fixed-step integration, divergence detection, and manifold diagnostics."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -226,14 +227,14 @@ def test_nan_diagonal_block_raises_singular_with_level_and_time():
 
 def test_nonfinite_field_mid_run_carries_its_time():
     # the slow state grows at rate 1 (exactly, in steps of 1/16); the fast
-    # field turns NaN once it passes 0.5
+    # field turns NaN once it passes 0.5, on step 10, from 0.5625
     stack = ps.SystemStack([
         ps.Subsystem(1, lambda x: np.array([1.0])),
         ps.Subsystem(1, lambda x: np.array([np.nan if x[0] > 0.5 else -x[1]])),
     ])
     with pytest.raises(ps.EvaluationError) as err:
         ps.integrate_ode(stack, ps.Plain(), [0.0, 0.0], ps.IntegrationSettings("euler", 0.0625, 1.0))
-    assert 0.5 < err.value.time <= 0.7
+    assert err.value.time == 10 * 0.0625
 
 
 @pytest.mark.parametrize("rows", [[[None]], [[], []], [[], None], [[], 0.5], None],
@@ -248,14 +249,48 @@ def test_provider_with_too_few_blocks_carries_its_time(r2_stack, rows):
     assert err.value.time == 0.125
 
 
-def test_singular_block_found_while_compiling_is_reported_at_time_zero():
-    # affine stack whose fast diagonal block is exactly zero
-    stack = ps.linear_stack([1, 1], [[[[-1.0]], [[1.0]]], [[[1.0]], [[0.0]]]])
-    with pytest.raises(ps.SingularMatrixError) as err:
-        ps.integrate_ode(stack, ps.PredictiveSensitivity(), [1.0, 1.0],
-                         ps.IntegrationSettings("rk4", 0.01, 1.0))
-    assert err.value.level == 1
+_SINGULAR = [[[[-1.0]], [[1.0]]], [[[1.0]], [[0.0]]]]
+_OVERFLOWING = [[[[1e200]], [[0.0]]], [[[0.0]], [[-1.0]]]]
+
+
+@pytest.mark.parametrize("blocks, scheme, method, dt, error, level", [
+    (_SINGULAR, ps.PredictiveSensitivity(), "rk4", 0.01, ps.SingularMatrixError, 1),
+    (_OVERFLOWING, ps.Plain(), "rk4", 0.01, ps.EvaluationError, None),
+    (_OVERFLOWING, ps.PredictiveSensitivity(), "rk4", 0.01, ps.EvaluationError, None),
+    (_OVERFLOWING, ps.Plain(), "euler", 1e110, ps.EvaluationError, None),
+], ids=["singular", "overflow-plain", "overflow-predsens", "overflow-step-map"])
+def test_singular_block_found_while_compiling_is_reported_at_time_zero(
+        blocks, scheme, method, dt, error, level):
+    """Failures met before the first step are reported at time 0.0, with no
+    warning: a fast diagonal block that is exactly zero, an affine field that
+    overflows in an RK4 stage while the step map is built, and a step map
+    that overflows from finite field values (an Euler step of 1e110)."""
+    stack = ps.linear_stack([1, 1], blocks)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(error) as err:
+            ps.integrate_ode(stack, scheme, [1.0, 1.0], ps.IntegrationSettings(method, dt, 100 * dt))
+    assert getattr(err.value, "level", None) == level
     assert err.value.time == 0.0
+
+
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+def test_field_writing_into_its_argument_leaves_stored_rows(method):
+    """A per-call run steps from the array the previous step returned, so a
+    field that overwrites its argument cannot rewrite the rows already stored."""
+    def scribbling(x):
+        out = -x.copy()
+        x[:] = 7.0
+        return out
+
+    stack = ps.SystemStack([ps.Subsystem(1, scribbling)])
+    step = integrate._rk4_step if method == "rk4" else integrate._euler_step
+    x, rows = np.array([1.0]), [[1.0]]
+    for _ in range(8):
+        x = step(lambda y: ps.conditioned_field(stack, ps.Plain(), y), x, 0.125)
+        rows.append(x.copy())
+    traj = ps.integrate_ode(stack, ps.Plain(), [1.0], ps.IntegrationSettings(method, 0.125, 1.0))
+    assert np.array_equal(traj.states, rows)
 
 
 def test_nonaffine_run_validates_its_scheme_once(monkeypatch):

@@ -651,3 +651,26 @@ def test_exact_schemes_keep_the_steady_state_manifold(case, gains):
             assert err > 1e-6
         else:
             assert err <= 1e-12, scheme
+
+
+@settings(derandomize=True, deadline=None)
+@given(affine_stack_point(3, st.floats(1.0, 3.0)), st.data())
+def test_verified_certificate_implies_nonnegative_margins(case, data):
+    """The certificate's guarantee: where ``contraction_check`` verifies its
+    inverse bounds (``P = Q = I``), ``norm(x_i - x_i^s) <= bound_i *
+    norm(f_i^r)`` holds at the same points, so every
+    ``distance_bound_margins`` entry is nonnegative up to rounding (1e-9 of
+    the state scale). Diagonal shifts from 1 to 3 keep many certificates
+    near their bound, where a bound too small would show."""
+    stack, _, x = case
+    n, total = len(stack), stack.total_dim
+    more = data.draw(st.lists(st.lists(st.floats(-10.0, 10.0), min_size=total, max_size=total),
+                              max_size=4))
+    points = np.array([x, *more])
+    try:
+        cert = ps.contraction_check(stack, [1.0] * n, [1.0] * n, points)
+    except ps.SingularMatrixError:
+        assume(False)
+    assume(cert.bounds_verified)
+    margins = ps.distance_bound_margins(stack, cert, points)
+    assert margins.min() >= -1e-9 * (1.0 + np.abs(points).max())
