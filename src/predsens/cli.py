@@ -8,6 +8,7 @@ a simulated trajectory is a reported outcome, not an error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -19,19 +20,22 @@ from .bilevel import solve_discrete
 from .conditioning import (ApproximateSensitivity, Plain, Preconditioned,
                            PredictiveSensitivity, Scheme, SingularPerturbation,
                            frozen_sensitivity_provider, noisy_sensitivity_provider)
-from .errors import (ConvergenceError, EvaluationError, NotSteadyStateError,
-                     SingularMatrixError, StackDefinitionError)
+from .errors import ConvergenceError, EvaluationError, NotSteadyStateError, SingularMatrixError
 from .integrate import IntegrationSettings, Trajectory, integrate_ode
 from .model import SystemStack, linear_stack, state_columns, write_csv
+from .sensitivity import STEADY_STATE_TOL
 from .stability import _pairs, _sorted_eigs, classify_local_stability
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-CONFIG_ERRORS = (StackDefinitionError, ValueError, KeyError, json.JSONDecodeError, OSError)
+CONFIG_ERRORS = (ValueError, KeyError, OSError)
 NUMERICAL_ERRORS = (SingularMatrixError, ConvergenceError, EvaluationError,
                     NotSteadyStateError)
+
+#: The ``cascade`` flags, one per float field of ``CascadeParams``.
+CASCADE_FLAGS = ("a1", "b1", "a2", "b2", "kp1", "ki1", "kp2", "ki2")
 
 
 class ConfigError(ValueError):
@@ -50,9 +54,9 @@ def parse_scheme(text: str, stack: SystemStack, x0) -> Scheme:
     plain | singular:<eps...> | predsens | precond:<h...> | approx:<frozen|noise:sigma>
 
     ``singular`` accepts either all N epsilons (the leading one must then be
-    1) or the trailing N-1 with the leading 1 implied.
+    1) or the trailing N-1 with the leading 1 implied. The number of
+    epsilons or gains is checked where the scheme is compiled.
     """
-    n_levels = len(stack)
     head, _, rest = text.partition(":")
     if head == "plain":
         return Plain()
@@ -60,18 +64,11 @@ def parse_scheme(text: str, stack: SystemStack, x0) -> Scheme:
         return PredictiveSensitivity()
     if head == "singular":
         eps = _floats(rest, "epsilons")
-        if len(eps) == n_levels - 1:
+        if len(eps) == len(stack) - 1:
             eps = [1.0] + eps
-        if len(eps) != n_levels:
-            raise ConfigError(f"scheme {text!r} gives {len(eps)} epsilons for "
-                              f"{n_levels} subsystems")
         return SingularPerturbation(eps)
     if head == "precond":
-        gains = _floats(rest, "gains")
-        if len(gains) != n_levels:
-            raise ConfigError(f"scheme {text!r} gives {len(gains)} gains for "
-                              f"{n_levels} subsystems")
-        return Preconditioned(gains)
+        return Preconditioned(_floats(rest, "gains"))
     if head == "approx":
         kind, _, sigma = rest.partition(":")
         if kind == "frozen":
@@ -86,10 +83,7 @@ def parse_linear_stack(config: dict) -> SystemStack:
     """Build an affine stack from {dims, blocks, offsets} JSON data."""
     if not isinstance(config, dict) or "dims" not in config or "blocks" not in config:
         raise ConfigError("linear stack JSON needs 'dims' and 'blocks'")
-    try:
-        return linear_stack(config["dims"], config["blocks"], config.get("offsets"))
-    except StackDefinitionError as exc:
-        raise ConfigError(f"bad linear stack config: {exc}") from exc
+    return linear_stack(config["dims"], config["blocks"], config.get("offsets"))
 
 
 def serialize_linear_stack(stack: SystemStack) -> dict:
@@ -175,9 +169,7 @@ def _cmd_stability(args) -> int:
 
 
 def _cmd_cascade(args) -> int:
-    params = casestudies.CascadeParams(a1=args.a1, b1=args.b1, a2=args.a2, b2=args.b2,
-                                       kp1=args.kp1, ki1=args.ki1,
-                                       kp2=args.kp2, ki2=args.ki2)
+    params = casestudies.CascadeParams(**{name: getattr(args, name) for name in CASCADE_FLAGS})
     mats = casestudies.cascade_matrices(params)
     data = {
         "A": mats.A.tolist(),
@@ -201,7 +193,8 @@ def _cmd_rlc(args) -> int:
     params = casestudies.RlcParams(k_pi=args.kpi, k_ii=args.kii)
     stack = casestudies.rlc_stack(params)
     scheme = parse_scheme(args.scheme, stack, np.zeros(stack.total_dim))
-    settings = IntegrationSettings(method="rk4", dt=args.dt, t_end=args.t_end)
+    settings = dataclasses.replace(casestudies.default_black_start_settings(),
+                                   dt=args.dt, t_end=args.t_end)
     trajectory, metrics = casestudies.run_black_start(params, scheme, settings)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -214,8 +207,6 @@ def _cmd_rlc(args) -> int:
 def _cmd_bilevel(args) -> int:
     problem = casestudies.bilevel_example_problem()
     x0 = np.asarray(_floats(args.x0, "--x0"), dtype=float)
-    if args.method == "gda" and args.eps is None:
-        raise ConfigError("--method gda needs --eps")
     log = solve_discrete(problem, args.method, args.tau, x0,
                          max_iter=args.iters, tol=args.tol, eps=args.eps)
     out = Path(args.out)
@@ -248,31 +239,34 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="integrate a conditioned stack")
     add_stack_args(p)
     p.add_argument("--x0", default=None, help="comma-separated initial state")
-    p.add_argument("--method", default="rk4", choices=("euler", "rk4"))
-    p.add_argument("--dt", type=float, default=1e-3)
-    p.add_argument("--t-end", type=float, default=1.0)
-    p.add_argument("--divergence-threshold", type=float, default=1e6)
+    settings = IntegrationSettings()
+    p.add_argument("--method", default=settings.method, choices=("euler", "rk4"))
+    p.add_argument("--dt", type=float, default=settings.dt)
+    p.add_argument("--t-end", type=float, default=settings.t_end)
+    p.add_argument("--divergence-threshold", type=float,
+                   default=settings.divergence_threshold)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("stability", help="classify an equilibrium")
     add_stack_args(p)
     p.add_argument("--point", default=None, help="comma-separated steady state")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=STEADY_STATE_TOL)
     p.set_defaults(func=_cmd_stability)
 
     p = sub.add_parser("cascade", help="cascade PI closed-loop matrices")
-    for flag, default in (("--a1", 0.0), ("--b1", 1.0), ("--a2", 0.0), ("--b2", 1.0),
-                          ("--kp1", 1.0), ("--ki1", 1.0), ("--kp2", 1.0), ("--ki2", 1.0)):
-        p.add_argument(flag, type=float, default=default)
+    cascade = casestudies.CascadeParams()
+    for name in CASCADE_FLAGS:
+        p.add_argument(f"--{name}", type=float, default=getattr(cascade, name))
     p.add_argument("--out", default=".")
     p.set_defaults(func=_cmd_cascade)
 
     p = sub.add_parser("rlc", help="converter black start")
-    p.add_argument("--kpi", type=float, default=50.0, help="inner proportional gain")
-    p.add_argument("--kii", type=float, default=100.0, help="inner integral gain")
+    rlc, black_start = casestudies.RlcParams(), casestudies.default_black_start_settings()
+    p.add_argument("--kpi", type=float, default=rlc.k_pi, help="inner proportional gain")
+    p.add_argument("--kii", type=float, default=rlc.k_ii, help="inner integral gain")
     p.add_argument("--scheme", default="predsens")
-    p.add_argument("--dt", type=float, default=1e-5)
-    p.add_argument("--t-end", type=float, default=0.2)
+    p.add_argument("--dt", type=float, default=black_start.dt)
+    p.add_argument("--t-end", type=float, default=black_start.t_end)
     p.add_argument("--out", default=".")
     p.set_defaults(func=_cmd_rlc)
 
@@ -298,7 +292,8 @@ def run(argv=None) -> int:
     try:
         return args.func(args)
     except NUMERICAL_ERRORS as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
+        at = f" at t={exc.time:g}" if hasattr(exc, "time") else ""  # set by integrate_ode
+        print(f"numerical error{at}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except CONFIG_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -130,20 +130,20 @@ class SensitivityTable:
     sens: list[list[Array | None]]
 
 
-def _eliminate(grid: list, lowest: int, owned: bool) -> tuple[list, list]:
+def _eliminate(grid: list, lowest: int) -> tuple[list, list]:
     """The elimination recursion for levels N-1 down to ``lowest``; it reads
     the partial rows ``grid[lowest:]`` only and returns ``(total, sens)``.
-    Without ``owned``, the fastest level's D blocks are the grid's own,
-    read only by the solves for its S and never written. Every other D
-    block is a new array either way, since products read it and numpy can
-    round a strided block differently from its copy."""
+    When the recursion stops above level 0 only S is wanted, so the fastest
+    level's D blocks are the grid's own, read only by the solves for its S
+    and never written. Every other D block is a new array, since products
+    read it and numpy can round a strided block differently from its copy."""
     n = len(grid)
     total: list[list[Array | None]] = [[None] * n for _ in range(n)]
     sens: list[list[Array | None]] = [[None] * n for _ in range(n)]
     for i in range(n - 1, lowest - 1, -1):
         for j in range(n - 1, -1, -1):
             d = grid[i][j]
-            if i < n - 1 or owned:
+            if i < n - 1 or lowest == 0:
                 d = np.array(d, dtype=float)
                 for k in range(max(i, j) + 1, n):
                     d += total[i][k] @ sens[k][j]
@@ -162,7 +162,7 @@ def total_derivative_table(stack: SystemStack, point) -> SensitivityTable:
     level.
     """
     grid = jacobian_grid(stack, point)
-    total, sens = _eliminate(grid, 0, True)
+    total, sens = _eliminate(grid, 0)
     return SensitivityTable(partial=grid, total=total, sens=sens)  # type: ignore[arg-type]
 
 
@@ -173,7 +173,7 @@ def sensitivity_blocks(stack: SystemStack, point) -> list[list[Array | None]]:
     since only S is returned. A singular D[i][i] raises as in the table."""
     x = as_flat(stack, point)
     grid = [None] + [jacobian_row(stack, i, x) for i in range(1, len(stack))]
-    return _eliminate(grid, 1, False)[1]
+    return _eliminate(grid, 1)[1]
 
 
 def _newton(residual, jacobian, y0: Array, what: str) -> Array:

@@ -165,11 +165,12 @@ def classify_local_stability(stack: SystemStack, scheme: Scheme, steady_point,
     For the exact schemes (predictive sensitivity and preconditioned) the
     report also carries the eigenvalues of the per-level blocks H_i D[i][i],
     read from the table the Jacobian came from; they must agree with the
-    full spectrum as a multiset (checked to 1e-6). A non-finite point or a
-    NaN ``tol`` raises ``ValueError``.
+    full spectrum as a multiset (checked to 1e-6). A scheme that does not fit
+    the stack (checked first), a non-finite point or a NaN ``tol`` raises
+    ``ValueError``.
     """
-    x = _steady_point(stack, steady_point, tol)
     cond = compile_scheme(stack, scheme)
+    x = _steady_point(stack, steady_point, tol)
     jac, _, table = conditioned_jacobian(stack, cond, x)
     lams = _sorted_eigs(jac)
     abscissa = float(np.max(lams.real))

@@ -215,7 +215,7 @@ def test_unbounded_run_ends_diverged_before_overflow(tmp_path, capsys, args):
     assert metrics["t_final"] < float(args[-1])
 
 
-def test_numerical_errors_exit_3(tmp_path):
+def test_numerical_errors_exit_3(tmp_path, capsys):
     # fast diagonal block is exactly zero: the sensitivity solve must fail
     path = tmp_path / "singular.json"
     path.write_text(json.dumps(
@@ -223,6 +223,53 @@ def test_numerical_errors_exit_3(tmp_path):
     code = run(["stability", "--stack-file", str(path), "--scheme", "predsens",
                 "--point", "0,0", "--out", str(tmp_path)])
     assert code == EXIT_NUMERICAL
+    # not raised by a run, so no time
+    assert capsys.readouterr().err.startswith("numerical error: matrix at subsystem 1 ")
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"dims": [0, 1], "blocks": R2_CONFIG["blocks"]}, "dims must be positive, got [0, 1]"),
+    ({"dims": [1, 1], "blocks": [[[[1.0]]], R2_CONFIG["blocks"][1]]},
+     "block row 0 has 1 entries, expected 2"),
+    ({**R2_CONFIG, "offsets": [[0.0, 0.0], [0.0]]}, "offset 0 has length 2, expected 1")],
+    ids=["zero-dim", "short-row", "long-offset"])
+def test_bad_stack_file_exits_2_with_the_library_message(tmp_path, capsys, config, message):
+    path = tmp_path / "stack.json"
+    path.write_text(json.dumps(config))
+    assert run(["simulate", "--stack-file", str(path),
+                "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["simulate", "--scheme", "singular:1,0.5,0.5"], "scheme has 3 epsilons for 2 subsystems"),
+    (["simulate", "--scheme", "precond:1,2,3"], "scheme has 3 gains for 2 subsystems"),
+    # compiled before the point is checked: (1, 1) is not a steady state of r2
+    (["stability", "--scheme", "precond:1,2,3", "--point", "1,1"],
+     "scheme has 3 gains for 2 subsystems")],
+    ids=["simulate-singular", "simulate-precond", "stability-precond"])
+def test_scheme_arity_is_a_config_error(tmp_path, capsys, args, message):
+    assert run([*args, "--stack", "r2", "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("args, prefix", [
+    # an overflowing affine field is refused before the first step
+    (["simulate", "--stack-file", "OVERFLOW"], "numerical error at t=0: "),
+    # the fast block turns singular in the second step
+    (["simulate", "--stack", "bilevel-example", "--scheme", "predsens",
+      "--x0=-0.406,0.449", "--dt", "0.25", "--t-end", "20"], "numerical error at t=0.25: ")],
+    ids=["overflow", "singular-mid-run"])
+def test_numerical_error_names_the_run_time(tmp_path, capsys, args, prefix):
+    overflow = tmp_path / "overflow.json"
+    overflow.write_text(json.dumps(
+        {"dims": [1, 1], "blocks": [[[[1e200]], [[0]]], [[[0]], [[-1]]]]}))
+    args = [str(overflow) if a == "OVERFLOW" else a for a in args]
+    assert run([*args, "--out", str(tmp_path / "out")]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err.startswith(prefix)
+    assert not (tmp_path / "out").exists()
 
 
 def test_scheme_grammar_epsilon_forms(r2_stack):

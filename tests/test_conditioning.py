@@ -135,6 +135,8 @@ def test_preconditioned_validation(r2_stack):
     for gain in (np.nan, np.inf, np.array([[np.nan]])):
         with pytest.raises(ValueError, match="gain 1 must be finite"):
             ps.conditioned_field(r2_stack, ps.Preconditioned([1.0, gain]), [0.0, 0.0])
+    with pytest.raises(ValueError, match=r"gain 0 has shape \(2, 2\), expected \(1,1\)"):
+        ps.conditioned_field(r2_stack, ps.Preconditioned([np.eye(2), 1.0]), [0.0, 0.0])
     # block-matrix gains work too
     m, _ = ps.conditioning_matrix(r2_stack,
                                   ps.Preconditioned([np.array([[2.0]]),

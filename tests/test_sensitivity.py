@@ -8,8 +8,8 @@ import predsens as ps
 from predsens import casestudies as cs
 from predsens import registry
 from predsens.bilevel import as_system_stack
-from predsens.sensitivity import (jacobian_grid, sensitivity_blocks, solve_checked,
-                                  steady_state_map)
+from predsens.sensitivity import (NEWTON_MAX_ITER, jacobian_grid, sensitivity_blocks,
+                                  solve_checked, steady_state_map)
 
 
 def test_r2_table_values(r2_stack):
@@ -167,6 +167,21 @@ def test_steady_state_nonconvergence_reports_residual():
     with pytest.raises(ps.ConvergenceError) as err:
         ps.steady_state_solve(stack, 1, [0.0, 0.5])
     assert err.value.residual is not None and err.value.residual > 0
+
+
+def test_steady_state_out_of_iterations_reports_the_limit():
+    """An analytic fast Jacobian 100x the true one makes every Newton step
+    1/100 of the true one: the residual falls by 0.99 per step and is
+    0.99**100 after the last."""
+    stack = ps.SystemStack([
+        ps.Subsystem(1, lambda x: np.array([-x[0]])),
+        ps.Subsystem(1, lambda x: np.array([x[0] - x[1]]),
+                     lambda x: [np.array([[100.0]]), np.array([[-100.0]])]),
+    ])
+    with pytest.raises(ps.ConvergenceError, match="no convergence within") as err:
+        ps.steady_state_solve(stack, 1, [1.0, 0.0])
+    assert err.value.iterations == NEWTON_MAX_ITER
+    assert err.value.residual == pytest.approx(0.99 ** NEWTON_MAX_ITER, rel=1e-12)
 
 
 def test_reduced_field_r2(r2_stack):
