@@ -227,8 +227,10 @@ def make_conditioned_field(stack: SystemStack, scheme: Scheme) -> Callable[[Arra
     singular diagonal block raises; a call whose value is non-finite, by
     overflow included, raises :class:`EvaluationError` without a warning, so
     :func:`~predsens.integrate.integrate_ode` refuses such a field at time
-    0.0, while it builds its step map. Otherwise every call evaluates
-    :func:`conditioned_field` afresh on the scheme compiled here once.
+    0.0, while it builds its step map. The message names no point: the
+    argument may be an RK4 stage point, not a state of the run. Otherwise
+    every call evaluates :func:`conditioned_field` afresh on the scheme
+    compiled here once.
     """
     cond = compile_scheme(stack, scheme)
     if not is_affine(stack, cond):
@@ -241,7 +243,7 @@ def make_conditioned_field(stack: SystemStack, scheme: Scheme) -> Callable[[Arra
         with np.errstate(over="ignore", invalid="ignore"):
             out = a_c @ x + b_c
         if not np.isfinite(out).all():
-            raise EvaluationError(f"conditioned field is non-finite at {x!r}")
+            raise EvaluationError("conditioned field is non-finite")
         return out
 
     return field

@@ -9,6 +9,7 @@ package use the same block ordering, with index 0 the slowest subsystem.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -164,9 +165,178 @@ def state_columns(dims: Sequence[int]) -> list[str]:
             for i, d in enumerate(dims) for k in range(d)]
 
 
-#: Rows stacked and formatted per ``%`` operation by :func:`write_csv`. Larger
-#: blocks fragment the heap and raise the peak memory of a long write.
-CSV_BLOCK_ROWS = 64
+#: Rows stacked and formatted together by :func:`write_csv`. Smaller blocks
+#: pay numpy's cost per call more often; larger ones fault in fresh pages for
+#: their temporaries on every block and raise the peak memory.
+CSV_BLOCK_ROWS = 1024
+
+
+# Tables of the ``%.17g`` block formatter, indexed by a cell's decimal
+# exponent X plus _E0. Exactly formatted cells have X in [-281, 282].
+_E0 = 282
+
+
+def _words(texts: list[bytes], width: int = 8) -> Array:
+    """``texts`` NUL-padded to ``width`` bytes, one row of uint64 words each."""
+    return np.frombuffer(b"".join(t.ljust(width, b"\0") for t in texts),
+                         np.uint64).reshape(len(texts), -1)
+
+
+def _pow10_table() -> tuple[Array, ...]:
+    """10**(16 - X) as hi + lo, hi also split into 26- and 27-bit halves
+    (Veltkamp), from exact integer arithmetic."""
+    his, los = [], []
+    for k in range(16 - _E0, 17 + _E0):
+        num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
+        hi = num / den
+        n, d = hi.as_integer_ratio()
+        his.append(hi)
+        los.append((num * d - n * den) / (den * d))
+    hi = np.array(his[::-1])
+    c = 134217729.0 * hi
+    hi1 = c - (c - hi)
+    return hi, hi1, hi - hi1, np.array(los[::-1])
+
+
+_POW10 = _pow10_table()
+_EXPONENTS = range(-_E0, _E0 + 1)
+_FIXED = range(-4, 17)  # %.17g prints these exponents without an exponent part
+# Head word [separator, sign, "0." and up to three zeros, leading digit]:
+# _LEAD by leading digit + 10 * sign, _PREFIX by exponent.
+_LEAD = _words([b"\0" + sign + bytes(5) + bytes([48 + d])
+                for sign in (b"\0", b"-") for d in range(10)]).reshape(-1)
+_PREFIX = _words([b"\0\0" + (b"0." + b"0" * (-x - 1) if x in _FIXED and x < 0 else b"")
+                  for x in _EXPONENTS]).reshape(-1)
+_TAIL = _words([b"" if x in _FIXED else b"e%+03d" % x for x in _EXPONENTS]).reshape(-1)
+# Digits shown before the point, by exponent.
+_WHOLE = np.array([x + 1 if 0 <= x < 17 else 0 if x in _FIXED else 1 for x in _EXPONENTS],
+                  np.int16)
+
+
+def _group_tables() -> tuple[Array, Array]:
+    """By 4-digit group g: its digits d as byte pairs (".", d), one uint64
+    word per group; and, for the group in position j of digits 1..16, the
+    place of its last nonzero digit among them, or 0."""
+    g = np.arange(10000)
+    digits = np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], axis=1)
+    pairs = np.full((10000, 4, 2), 46, np.uint8)
+    pairs[:, :, 1] = 48 + digits
+    last = np.where(g > 0, 4 * np.arange(4)[:, None] + 4
+                    - np.argmax(digits[:, ::-1] > 0, axis=1), 0)
+    return pairs.reshape(10000, 8).view(np.uint64).reshape(-1), last.astype(np.int16)
+
+
+_PAIRS, _LAST = _group_tables()
+
+
+def _keep_masks() -> Array:
+    """Column 18 s + w masks the four pair words of a cell with s
+    significant digits, w of them before the point: it keeps digits 1 to
+    max(s, w) - 1, and the point after digit w - 1 when a fraction follows."""
+    s, w, j = np.arange(18)[:, None, None], np.arange(18)[None, :, None], np.arange(16)
+    keep = np.zeros((18, 18, 16, 2), np.uint8)
+    keep[..., 0] = np.where((j == w - 1) & (w < s), 255, 0)
+    keep[..., 1] = np.where(j < np.maximum(s, w) - 1, 255, 0)
+    return np.ascontiguousarray(keep.reshape(18 * 18, 32).view(np.uint64).T)
+
+
+_KEEP = _keep_masks()
+
+
+def _scaled(a: Array, x: Array) -> tuple[Array, Array]:
+    """``a * 10**(16 - X)`` as an integer part and a fraction in [0, 1),
+    within 1e-14, for ``x`` = X + _E0: a Dekker product with the
+    double-double power of ten."""
+    hi, hi1, hi2, lo = (t.take(x) for t in _POW10)
+    p = a * hi
+    c = 134217729.0 * a
+    a1 = c - (c - a)
+    a2 = a - a1
+    r = (((a1 * hi1 - p) + a1 * hi2 + a2 * hi1) + a2 * hi2) + a * lo
+    f = np.floor(r)
+    return p.astype(np.int64) + f.astype(np.int64), r - f
+
+
+def _rounded(v: Array) -> tuple[Array, Array, Array]:
+    """Each ``|v|`` rounded to 17 significant digits, N * 10**(X - 16) with
+    10**16 <= N < 10**17, as (N, X + _E0, whether the rounding is exact)."""
+    a = np.abs(v)
+    exact = (a >= 1e-280) & (a <= 1e280)
+    a[~exact] = 1.0
+    x = np.floor(np.log10(a)).astype(np.int64)
+    x += _E0
+    n, frac = _scaled(a, x)
+    off = np.flatnonzero((n < 10 ** 16) | (n >= 10 ** 17))
+    if off.size:  # log10 missed the exponent by one
+        x[off] += np.where(n[off] < 10 ** 16, -1, 1)
+        n[off], frac[off] = _scaled(a[off], x[off])
+        still = off[(n[off] < 10 ** 16) | (n[off] >= 10 ** 17)]
+        exact[still] = False  # left to %; N only has to index the digit tables
+        n[still] = 10 ** 16
+    exact &= np.abs(frac - 0.5) >= 1e-6
+    n += frac > 0.5
+    carry = n == 10 ** 17
+    n[carry] = 10 ** 16
+    x += carry
+    return n, x, exact
+
+
+def _lay_out(v: Array, n: Array, x: Array, words: Array) -> None:
+    """Write the head word and the four pair words of each cell into
+    ``words[:, :5]``."""
+    lead, rest = np.divmod(n, 10 ** 16)
+    groups = np.empty((4, v.size), np.int64)
+    np.divmod(rest // 10 ** 8, 10000, out=(groups[0], groups[1]))
+    np.divmod(rest % 10 ** 8, 10000, out=(groups[2], groups[3]))
+    del rest
+    keep = np.maximum(np.maximum(_LAST[0].take(groups[0]), _LAST[1].take(groups[1])),
+                      np.maximum(_LAST[2].take(groups[2]), _LAST[3].take(groups[3])))
+    keep += 1
+    keep *= 18
+    keep += _WHOLE.take(x)
+    lead += 10 * np.signbit(v)
+    np.bitwise_or(_PREFIX.take(x), _LEAD.take(lead), out=words[:, 0])
+    pairs = _PAIRS.take(groups)
+    del groups
+    pairs &= _KEEP.take(keep, axis=1)
+    words[:, 1:5] = pairs.T
+
+
+def _format_rows(block: Array) -> bytearray:
+    """The rows of a 2-D float block as ``np.savetxt(fmt="%.17g",
+    delimiter=",")`` writes them.
+
+    Each cell is rounded to 17 significant digits in numpy, from the exact
+    product of ``|v|`` with a double-double power of ten, whose error is
+    below 1e-14 (:func:`_rounded`). The digits are read four at a time from
+    tables and laid out in %g's fixed or exponent form in five or six
+    NUL-padded uint64 words per cell; the NULs are dropped at the end. Cells
+    this cannot decide are formatted by ``%`` itself: zeros, non-finite
+    values, ``|v|`` outside [1e-280, 1e280], and those whose scaled fraction
+    lies within 1e-6 of one half.
+    """
+    rows, cols = block.shape
+    v = block.reshape(-1)
+    n, x, exact = _rounded(v)
+    tail = _TAIL.take(x)
+    width = 6 if tail.any() else 5
+    text = bytearray(8 * width * v.size)
+    words = np.frombuffer(text, np.uint64).reshape(v.size, width)
+    _lay_out(v, n, x, words)
+    if width == 6:
+        words[:, 5] = tail
+    chars = words.view(np.uint8)
+    spill = np.flatnonzero(~exact)
+    if spill.size:
+        bits, inverse = np.unique(v[spill].view(np.uint64), return_inverse=True)
+        texts = [b"\0\0" + b"%.17g" % value for value in bits.view(np.float64).tolist()]
+        chars[spill] = _words(texts, 8 * width).view(np.uint8)[inverse]
+    heads = chars.reshape(rows, cols, -1)[:, :, 0]  # NUL where the layout left it
+    heads[:, 1:] = 44
+    heads[1:, 0] = 10
+    out = text.translate(None, b"\0")
+    out.append(10)
+    return out
 
 
 def write_csv(path, header: str, columns: Sequence[Array]) -> None:
@@ -174,21 +344,39 @@ def write_csv(path, header: str, columns: Sequence[Array]) -> None:
     under a ``header`` line, every value in round-trip ``.17g`` form.
 
     The bytes are those of ``np.savetxt`` with ``fmt="%.17g"``,
-    ``delimiter=","`` and ``comments=""``, but rows are formatted a block at
-    a time. Columns of unequal length raise ``ValueError`` before the file
-    is opened.
+    ``delimiter=","`` and ``comments=""``; rows are formatted
+    ``CSV_BLOCK_ROWS`` at a time by :func:`_format_rows`. Columns of unequal
+    length raise ``ValueError`` before the file is opened.
     """
     lengths = {len(c) for c in columns}
     if len(lengths) != 1:
         raise ValueError(f"columns must have one common length, got {sorted(lengths)}")
     rows = lengths.pop()
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "wb") as fh:
         if header:
-            fh.write(header + "\n")
+            fh.write(header.encode() + b"\n")
         for start in range(0, rows, CSV_BLOCK_ROWS):
             block = np.column_stack([c[start:start + CSV_BLOCK_ROWS] for c in columns])
-            line = ",".join(["%.17g"] * block.shape[1]) + "\n"
-            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+            fh.write(_format_rows(block.astype(float, copy=False)))
+
+
+def _is_list(value) -> bool:
+    return isinstance(value, (list, tuple)) or isinstance(value, np.ndarray) and value.ndim > 0
+
+
+def _is_integral(value) -> bool:
+    return not isinstance(value, bool) and (
+        isinstance(value, numbers.Integral)
+        or isinstance(value, numbers.Real) and float(value).is_integer())
+
+
+def _numbers(values, what: str, index: int) -> Array:
+    """``values`` as a float array, or :class:`StackDefinitionError`."""
+    try:
+        return _block(values)
+    except (TypeError, ValueError) as exc:
+        raise StackDefinitionError(f"{what} is not an array of numbers: {exc}",
+                                   index=index) from exc
 
 
 def linear_stack(dims: Sequence[int], blocks, offsets=None) -> SystemStack:
@@ -196,22 +384,34 @@ def linear_stack(dims: Sequence[int], blocks, offsets=None) -> SystemStack:
 
     ``blocks[i][j]`` is the (dims[i], dims[j]) matrix A[i][j]; ``offsets``
     gives the constant terms c[i] (default zero). Analytic Jacobians are the
-    given blocks, and every subsystem declares ``constant_jacobian``.
+    given blocks, and every subsystem declares ``constant_jacobian``. A
+    dimension that is not an integral number (a bool included), a block row
+    or offset list of another nesting, or an entry that is not a number
+    raises :class:`StackDefinitionError`.
     """
+    if not _is_list(dims) or not all(_is_integral(d) for d in dims):
+        raise StackDefinitionError(f"dims must be a list of integers, got {dims!r}")
     dims = [int(d) for d in dims]
     n = len(dims)
     if any(d <= 0 for d in dims):
         raise StackDefinitionError(f"dims must be positive, got {dims}")
+    if not _is_list(blocks):
+        raise StackDefinitionError(f"blocks must be a list of {n} block rows, got {blocks!r}")
     if len(blocks) != n:
         raise StackDefinitionError(f"expected {n} block rows, got {len(blocks)}")
+    if offsets is not None and not (_is_list(offsets) and len(offsets) == n):
+        raise StackDefinitionError(f"offsets must be a list of {n} vectors, got {offsets!r}")
     mats: list[list[Array]] = []
     for i in range(n):
+        if not _is_list(blocks[i]):
+            raise StackDefinitionError(
+                f"block row {i} must be a list of {n} blocks, got {blocks[i]!r}", index=i)
         if len(blocks[i]) != n:
             raise StackDefinitionError(
                 f"block row {i} has {len(blocks[i])} entries, expected {n}", index=i)
         row = []
         for j in range(n):
-            m = _block(blocks[i][j])
+            m = _numbers(blocks[i][j], f"block ({i},{j})", i)
             if m.shape != (dims[i], dims[j]):
                 raise StackDefinitionError(
                     f"block ({i},{j}) has shape {m.shape}, expected ({dims[i]},{dims[j]})",
@@ -220,7 +420,8 @@ def linear_stack(dims: Sequence[int], blocks, offsets=None) -> SystemStack:
         mats.append(row)
     consts = []
     for i in range(n):
-        c = np.zeros(dims[i]) if offsets is None else np.asarray(offsets[i], dtype=float).reshape(-1)
+        c = np.zeros(dims[i]) if offsets is None else \
+            _numbers(offsets[i], f"offset {i}", i).reshape(-1)
         if c.shape != (dims[i],):
             raise StackDefinitionError(
                 f"offset {i} has length {c.size}, expected {dims[i]}", index=i)

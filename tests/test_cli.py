@@ -242,6 +242,29 @@ def test_bad_stack_file_exits_2_with_the_library_message(tmp_path, capsys, confi
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("config", [
+    {"dims": [1, 1], "blocks": 5},
+    {"dims": [[1], 1], "blocks": []},
+    {**R2_CONFIG, "offsets": 3},
+    {**R2_CONFIG, "dims": [1.5, 1]},
+    {**R2_CONFIG, "dims": [True, 1]},
+    {"dims": [1, 1], "blocks": [[{}, [[0]]], [[[0]], [[-1]]]]}],
+    ids=["scalar-blocks", "nested-dim", "scalar-offsets", "fractional-dim", "bool-dim",
+         "object-block"])
+def test_malformed_stack_file_exits_2(tmp_path, capsys, config):
+    """A stack file with the right keys but a wrong nesting, a dimension
+    that is not an integer or a block that is not numbers is refused by
+    ``linear_stack``: exit 2, never a traceback, and no output directory."""
+    with pytest.raises(ps.StackDefinitionError):
+        parse_linear_stack(config)
+    path = tmp_path / "stack.json"
+    path.write_text(json.dumps(config))
+    assert run(["simulate", "--stack-file", str(path),
+                "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("args, message", [
     (["simulate", "--scheme", "singular:1,0.5,0.5"], "scheme has 3 epsilons for 2 subsystems"),
     (["simulate", "--scheme", "precond:1,2,3"], "scheme has 3 gains for 2 subsystems"),
@@ -270,6 +293,17 @@ def test_numerical_error_names_the_run_time(tmp_path, capsys, args, prefix):
     assert run([*args, "--out", str(tmp_path / "out")]) == EXIT_NUMERICAL
     assert capsys.readouterr().err.startswith(prefix)
     assert not (tmp_path / "out").exists()
+
+
+def test_affine_field_error_names_no_stage_point(tmp_path, capsys):
+    """The overflowing affine field is refused at t=0 without printing the
+    RK4 stage point it was called at, which is not a state of the run."""
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(
+        {"dims": [1, 1], "blocks": [[[[1e200]], [[0]]], [[[0]], [[-1]]]]}))
+    assert run(["simulate", "--stack-file", str(path),
+                "--out", str(tmp_path / "out")]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err == "numerical error at t=0: conditioned field is non-finite\n"
 
 
 def test_scheme_grammar_epsilon_forms(r2_stack):

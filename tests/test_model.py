@@ -147,11 +147,11 @@ def test_linear_stack_validation_errors():
 SPECIAL_VALUES = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300])
 
 
-@pytest.mark.parametrize("rows", [0, 1, 63, 64, 65, 20001])
+@pytest.mark.parametrize("rows", [0, 1, 63, 64, 65, 1023, 1024, 1025, 20001])
 def test_write_csv_bytes_are_savetxts(tmp_path, rows):
     """The block writer gives ``np.savetxt``'s bytes on an integer index
     column and 1-D and 2-D float columns, special values included, at row
-    counts around one 64-row block."""
+    counts around 64 and 1 024 (``CSV_BLOCK_ROWS``) rows."""
     rng = np.random.default_rng(rows)
     values = rng.normal(size=(rows, 5)) * 10.0 ** rng.integers(-20, 20, size=(rows, 5))
     flat = values.reshape(-1)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from predsens.casestudies import bilevel_example_problem  # noqa: E402
 from predsens.cli import parse_linear_stack, serialize_linear_stack  # noqa: E402
 from predsens.conditioning import (compile_scheme, conditioned_jacobian,  # noqa: E402
                                    make_conditioned_field)
+from predsens.model import write_csv  # noqa: E402
 from predsens.sensitivity import (sensitivity_blocks, solve_checked,  # noqa: E402
                                   steady_state_map)
 from predsens.stability import _sorted_eigs  # noqa: E402
@@ -674,3 +676,38 @@ def test_verified_certificate_implies_nonnegative_margins(case, data):
     assume(cert.bounds_verified)
     margins = ps.distance_bound_margins(stack, cert, points)
     assert margins.min() >= -1e-9 * (1.0 + np.abs(points).max())
+
+
+def _power_of_ten(k: int, step: int, sign: float) -> float:
+    """``sign * 10**k`` rounded to the nearest double, or the double next to
+    it on the side of ``step`` (-1 or 1)."""
+    p = float(f"1e{k}")
+    return sign * (float(np.nextafter(p, step * math.inf)) if step else p)
+
+
+signs = st.sampled_from([1.0, -1.0])
+csv_cells = st.one_of(
+    # every bit pattern: subnormals, signed zeros, NaN payloads, infinities
+    st.integers(0, 2 ** 64 - 1).map(lambda bits: float(np.array(bits, np.uint64).view(float))),
+    # exact ties at the 17th digit, which %.17g rounds half to even
+    st.builds(lambda n, q, sign: sign * (n + q), st.integers(10 ** 15, 2 ** 51 - 1),
+              st.sampled_from([0.25, 0.75]), signs),
+    # powers of ten and their neighbours, where the exponent changes
+    st.builds(_power_of_ten, st.integers(-323, 308), st.sampled_from([-1, 0, 1]), signs),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]))
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 4), st.data())
+def test_write_csv_is_savetxt_on_hard_values(tmp_path_factory, rows, cols, data):
+    """``write_csv`` writes the bytes of ``np.savetxt(fmt="%.17g")`` beside an
+    integer index column, on the values where an exactly rounded ``%.17g``
+    is hardest: random bit patterns, specials, exact ties and powers of ten
+    with their neighbours."""
+    cells = data.draw(st.lists(csv_cells, min_size=rows * cols, max_size=rows * cols))
+    columns = [np.arange(rows), np.array(cells).reshape(rows, cols)]
+    out = tmp_path_factory.mktemp("csv")
+    write_csv(out / "blocks.csv", "i", columns)
+    np.savetxt(out / "savetxt.csv", np.column_stack(columns), fmt="%.17g", delimiter=",",
+               header="i", comments="")
+    assert (out / "blocks.csv").read_bytes() == (out / "savetxt.csv").read_bytes()
