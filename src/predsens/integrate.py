@@ -123,11 +123,12 @@ def integrate_ode(stack: SystemStack, scheme: Scheme, x0,
     When the conditioned field is affine (:func:`~predsens.conditioning.is_affine`)
     one step is the affine map ``x -> P x + q``, built once from the field and
     iterated on every step of the run, up to ``AFFINE_BLOCK_ROWS`` rows at a
-    time; any other field is stepped one row at a time, each step from the
-    array the previous one returned. Either way the new rows are written
-    into the state array and checked together: the run ends at their first
-    row past the limit, which is kept if finite and dropped if not, and
-    ``diverged_at`` is that row's time.
+    time: ``P.dot`` writes each product straight into its row and ``q`` is
+    added in place, the bits of ``P @ x + q``. Any other field is stepped one
+    row at a time, each step from the array the previous one returned.
+    Either way the new rows are written into the state array and checked
+    together: the run ends at their first row past the limit, which is kept
+    if finite and dropped if not, and ``diverged_at`` is that row's time.
     """
     x = as_flat(stack, x0)
     if not np.all(np.isfinite(x)):
@@ -146,6 +147,7 @@ def integrate_ode(stack: SystemStack, scheme: Scheme, x0,
         affine = is_affine(stack, cond)
         if affine:
             p, q = _step_map(f, step, dt, x.size)
+            dot = p.dot
         count = 1
         while count < rows and diverged_at is None:
             if count == len(states):
@@ -155,7 +157,8 @@ def integrate_ode(stack: SystemStack, scheme: Scheme, x0,
                 # rows after the one that ends a run may overflow; they are dropped
                 with np.errstate(over="ignore", invalid="ignore"):
                     for prev, row in zip(states[count - 1:end - 1], states[count:end]):
-                        np.add(p @ prev, q, out=row)
+                        dot(prev, out=row)
+                        row += q
             else:
                 end = count + 1
                 x = states[count] = step(f, x, dt)

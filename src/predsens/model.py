@@ -371,12 +371,17 @@ def _is_integral(value) -> bool:
 
 
 def _numbers(values, what: str, index: int) -> Array:
-    """``values`` as a float array, or :class:`StackDefinitionError`."""
+    """``values`` as a float array of finite entries, or
+    :class:`StackDefinitionError`; a ``None`` entry, which numpy reads as NaN,
+    and an integer too large for a float are refused too."""
     try:
-        return _block(values)
-    except (TypeError, ValueError) as exc:
+        out = _block(values)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise StackDefinitionError(f"{what} is not an array of numbers: {exc}",
                                    index=index) from exc
+    if not np.isfinite(out).all():
+        raise StackDefinitionError(f"{what} has a null or non-finite entry", index=index)
+    return out
 
 
 def linear_stack(dims: Sequence[int], blocks, offsets=None) -> SystemStack:
@@ -386,8 +391,8 @@ def linear_stack(dims: Sequence[int], blocks, offsets=None) -> SystemStack:
     gives the constant terms c[i] (default zero). Analytic Jacobians are the
     given blocks, and every subsystem declares ``constant_jacobian``. A
     dimension that is not an integral number (a bool included), a block row
-    or offset list of another nesting, or an entry that is not a number
-    raises :class:`StackDefinitionError`.
+    or offset list of another nesting, or an entry that is not a finite
+    number (``None`` included) raises :class:`StackDefinitionError`.
     """
     if not _is_list(dims) or not all(_is_integral(d) for d in dims):
         raise StackDefinitionError(f"dims must be a list of integers, got {dims!r}")

@@ -265,6 +265,19 @@ def test_malformed_stack_file_exits_2(tmp_path, capsys, config):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", [["simulate"], ["stability", "--point", "0,0"]],
+                         ids=["simulate", "stability"])
+def test_null_block_stack_file_exits_2(tmp_path, capsys, command):
+    """A ``null`` block entry, which numpy reads as NaN, is refused by
+    ``linear_stack``: exit 2 and no output directory, not a numerical error."""
+    path = tmp_path / "stack.json"
+    path.write_text('{"dims": [1, 1], "blocks": [[null, [[0]]], [[[0]], [[-1]]]]}')
+    assert run([*command, "--stack-file", str(path),
+                "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: block (0,0) has a null or non-finite entry\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("args, message", [
     (["simulate", "--scheme", "singular:1,0.5,0.5"], "scheme has 3 epsilons for 2 subsystems"),
     (["simulate", "--scheme", "precond:1,2,3"], "scheme has 3 gains for 2 subsystems"),

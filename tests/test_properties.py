@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,9 +13,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 import predsens as ps  # noqa: E402
-from predsens import integrate, registry  # noqa: E402
+from predsens import casestudies, integrate, registry  # noqa: E402
 from predsens.casestudies import bilevel_example_problem  # noqa: E402
-from predsens.cli import parse_linear_stack, serialize_linear_stack  # noqa: E402
+from predsens.cli import (EXIT_CONFIG, EXIT_OK, parse_linear_stack, run,  # noqa: E402
+                          serialize_linear_stack)
 from predsens.conditioning import (compile_scheme, conditioned_jacobian,  # noqa: E402
                                    make_conditioned_field)
 from predsens.model import write_csv  # noqa: E402
@@ -415,12 +418,11 @@ def _assert_blocked_run_is_per_step(case):
 
 
 @st.composite
-def affine_run(draw):
-    """A random affine stack (diagonal blocks shifted by -3, 0, +1 or +3 I, so most runs
-    grow),
-    an exact scheme, a start and settings, and whether the state array starts
-    at 3 rows."""
-    stack, _, x = draw(affine_stack_point(3, st.sampled_from([3.0, 0.0, -1.0, -3.0])))
+def affine_run(draw, max_dim=3):
+    """A random affine stack (block dims 1..max_dim, diagonal blocks shifted
+    by -3, 0, +1 or +3 I, so most runs grow), an exact scheme, a start and
+    settings, and whether the state array starts at 3 rows."""
+    stack, _, x = draw(affine_stack_point(3, st.sampled_from([3.0, 0.0, -1.0, -3.0]), max_dim))
     n = len(stack)
     scheme = draw(st.sampled_from([ps.Plain(), ps.SingularPerturbation([1.0] + [0.5] * (n - 1)),
                                    ps.PredictiveSensitivity()]))
@@ -440,6 +442,42 @@ def test_blocked_affine_run_is_the_per_step_loop(case):
         _assert_blocked_run_is_per_step(case)
     except ps.SingularMatrixError:
         assume(False)
+
+
+def seeded_affine_run(dims, seed):
+    """A fixed ``affine_run`` case: a seeded stack with diagonal
+    blocks shifted by -1 I under predictive sensitivity, 2 000 RK4 steps."""
+    rng = np.random.default_rng(seed)
+    total, off = sum(dims), np.cumsum([0] + dims)
+    a = rng.uniform(-1.0, 1.0, (total, total)) - np.eye(total)
+    blocks = [[a[off[i]:off[i + 1], off[j]:off[j + 1]] for j in range(len(dims))]
+              for i in range(len(dims))]
+    stack = ps.linear_stack(dims, blocks, [rng.uniform(-1.0, 1.0, d) for d in dims])
+    return (stack, ps.PredictiveSensitivity(), rng.uniform(-10.0, 10.0, total),
+            ps.IntegrationSettings("rk4", 0.01, 20.0), False)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(affine_run(max_dim=6))
+@example(seeded_affine_run([3, 3], 6))
+@example(seeded_affine_run([1, 2, 3], 6))
+def test_wide_blocked_affine_run_is_the_per_step_loop(case):
+    """On random affine stacks of up to 18 states the blocked loop is the
+    per-step ``p @ x + q`` loop bit for bit."""
+    try:
+        _assert_blocked_run_is_per_step(case)
+    except ps.SingularMatrixError:
+        assume(False)
+
+
+def test_black_start_run_is_the_per_step_loop():
+    """The converter black start (8 states, 20 000 RK4 steps at dt 1e-5,
+    predictive sensitivity) is the per-step loop bit for bit."""
+    stack = casestudies.rlc_stack(casestudies.RlcParams())
+    run = (stack, ps.PredictiveSensitivity(), np.zeros(stack.total_dim),
+           casestudies.default_black_start_settings(), False)
+    traj = _assert_blocked_run_is_per_step(run)
+    assert traj.states.shape == (20001, 8) and not traj.diverged
 
 
 #: Runs that end on a chosen row, as (case, index of the last row kept). With
@@ -485,6 +523,73 @@ def test_linear_stack_json_round_trip_is_exact(case):
         for j, block in enumerate(sub.jacobian(zero)):
             assert block.tobytes() == a[off[i]:off[i + 1], off[j]:off[j + 1]].tobytes()
         assert again.field_block(i, zero).tobytes() == stack.field_block(i, zero).tobytes()
+
+
+#: JSON scalars: numbers (finite, non-finite, and an integer too large for a
+#: float), strings, bools and null; JSON values add lists and objects of them.
+json_scalars = (st.none() | st.booleans() | st.integers(-2, 3) | st.floats(-10.0, 10.0)
+                | st.sampled_from([math.nan, math.inf, -math.inf, 10 ** 400])
+                | st.text(max_size=2))
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=8)
+
+
+@st.composite
+def stack_config(draw):
+    """``{dims, blocks, offsets}`` JSON data: a well-formed stack of 1-3
+    levels of dims 1-2, with up to three of its nodes (all of ``dims``, a
+    block row, a block, one entry, ...) replaced by a JSON value, a scalar
+    at least half the time."""
+    numbers = st.floats(-10.0, 10.0)
+    dims = draw(st.lists(st.integers(1, 2), min_size=1, max_size=3))
+    config = {"dims": dims, "blocks": [
+        [[draw(st.lists(numbers, min_size=dj, max_size=dj)) for _ in range(di)] for dj in dims]
+        for di in dims]}
+    if draw(st.booleans()):
+        config["offsets"] = [draw(st.lists(numbers, min_size=d, max_size=d)) for d in dims]
+    for _ in range(draw(st.integers(0, 3))):
+        node, key = config, draw(st.sampled_from(sorted(config)))
+        while isinstance(node[key], list) and node[key] and draw(st.integers(0, 3)):
+            node, key = node[key], draw(st.integers(0, len(node[key]) - 1))
+        node[key] = draw(json_scalars | json_values)
+    return json.loads(json.dumps(config))
+
+
+NULL_BLOCK = {"dims": [1, 1], "blocks": [[None, [[0]]], [[[0]], [[-1]]]]}
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(stack_config())
+@example(NULL_BLOCK)
+@example({**NULL_BLOCK, "blocks": [[[[10 ** 400]], [[0]]], NULL_BLOCK["blocks"][1]]})
+def test_linear_stack_builds_or_refuses_json_data(config):
+    """``linear_stack`` on JSON data builds a stack of finite numbers, which
+    round-trips through ``serialize_linear_stack`` bit for bit, or raises
+    ``StackDefinitionError`` (a ``ValueError``); nothing else escapes."""
+    try:
+        stack = ps.linear_stack(config["dims"], config["blocks"], config.get("offsets"))
+    except ps.StackDefinitionError:
+        return
+    again = serialize_linear_stack(stack)
+    text = json.dumps(again, allow_nan=False)  # raises on a NaN or an infinity
+    assert serialize_linear_stack(parse_linear_stack(json.loads(text))) == again
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(stack_config())
+@example(NULL_BLOCK)
+def test_stack_file_simulates_or_exits_2(config):
+    """``predsens simulate --stack-file`` on JSON data exits 0, or exits 2
+    and creates no output directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "stack.json", Path(tmp) / "out"
+        path.write_text(json.dumps(config))
+        code = run(["simulate", "--stack-file", str(path), "--out", str(out)])
+        assert code in (EXIT_OK, EXIT_CONFIG)
+        assert out.exists() == (code == EXIT_OK)
 
 
 @settings(derandomize=True, deadline=None, max_examples=50)
