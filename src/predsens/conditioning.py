@@ -221,23 +221,24 @@ def is_affine(stack: SystemStack, cond: Conditioner) -> bool:
 def make_conditioned_field(stack: SystemStack, scheme: Scheme) -> Callable[[Array], Array]:
     """Closure over (stack, scheme) for tight integration loops.
 
-    When :func:`is_affine` holds, the affine map ``x -> A_c x + b_c`` is
-    compiled here once, through :func:`conditioned_jacobian` at the origin
-    (``b_c`` is its ``apply_inverse`` of ``f(0)``), which is also where a
-    singular diagonal block raises; a call whose value is non-finite, by
-    overflow included, raises :class:`EvaluationError` without a warning, so
-    :func:`~predsens.integrate.integrate_ode` refuses such a field at time
-    0.0, while it builds its step map. The message names no point: the
-    argument may be an RK4 stage point, not a state of the run. Otherwise
-    every call evaluates :func:`conditioned_field` afresh on the scheme
-    compiled here once.
+    When :func:`is_affine` holds, ``x -> A_c x + b_c`` is compiled here once:
+    ``A_c`` is :func:`conditioned_jacobian` at the origin, where a singular
+    diagonal block raises, and ``b_c`` is :func:`conditioning_matrix`'s
+    ``apply_inverse`` (S from that Jacobian's table) of ``f(0)``. A non-finite
+    value, by overflow included, raises :class:`EvaluationError` without a
+    warning, so :func:`~predsens.integrate.integrate_ode` refuses such a field
+    at time 0.0, while it builds its step map. The message names no point: the
+    argument may be an RK4 stage point, not a state of the run. Otherwise every
+    call evaluates :func:`conditioned_field` afresh on the scheme compiled once.
     """
     cond = compile_scheme(stack, scheme)
     if not is_affine(stack, cond):
         return lambda x: conditioned_field(stack, cond, x)
     origin = np.zeros(stack.total_dim)
-    a_c, apply_inverse, _ = conditioned_jacobian(stack, cond, origin)
-    b_c = apply_inverse(stack.field(origin))
+    a_c, table = conditioned_jacobian(stack, cond, origin)
+    if table is not None:
+        cond = replace(cond, sens=lambda _x: table.sens)
+    b_c = conditioning_matrix(stack, cond, origin)[1](stack.field(origin))
 
     def field(x: Array) -> Array:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -282,31 +283,24 @@ def conditioning_matrix(stack: SystemStack, scheme: Scheme | Conditioner, point)
 
 
 def conditioned_jacobian(stack: SystemStack, scheme: Scheme | Conditioner, x: Array):
-    """M^{-1} grad f at ``x``, as ``(jac, apply_inverse, table)``, ``apply_inverse``
-    being that of :func:`conditioning_matrix`. The columns of grad f are
-    forward-substituted as one batch of ``(d_i, 1)`` columns per level, so numpy
-    runs, per column, the matrix-vector products ``apply_inverse`` would run on
-    it: ``jac`` is ``apply_inverse`` applied column by column, bit for bit. An
-    exact conditioner reads grad f and S from one :func:`total_derivative_table`,
+    """M^{-1} grad f at ``x``, as ``(jac, table)``; no dense M is built. The
+    columns of grad f are forward-substituted as one batch of ``(d_i, 1)``
+    columns per level, so numpy runs, per column, the matrix-vector products the
+    ``apply_inverse`` of :func:`conditioning_matrix` would run on it: ``jac`` is
+    that ``apply_inverse`` applied column by column, bit for bit. An exact
+    conditioner reads grad f and S from one :func:`total_derivative_table`,
     returned as ``table``; any other conditioner builds none (``table`` is None)
     and calls its provider, if any, once."""
     cond = compile_scheme(stack, scheme)
-    if cond.exact:
-        table = total_derivative_table(stack, x)
-        sens = table.sens
-    else:
-        table = None
-        sens = None if cond.sens is None else cond.sens(x)
-    if sens is not None:
-        cond = replace(cond, sens=lambda _x: sens)
+    table = total_derivative_table(stack, x) if cond.exact else None
+    sens = table.sens if cond.exact else None if cond.sens is None else cond.sens(x)
     off = stack.offsets
     grad = _dense(jacobian_grid(stack, x) if table is None else table.partial, off)
-    _, apply_inverse = conditioning_matrix(stack, cond, x)
     cols = grad.T  # row k is column k of grad f
     xdot = _forward_substitute(cond, sens, [cols[:, off[i]:off[i + 1], None]
                                             for i in range(len(stack))])
     jac = np.concatenate(xdot, axis=1).reshape(stack.total_dim, stack.total_dim).T.copy()
-    return jac, apply_inverse, table
+    return jac, table
 
 
 def discrete_step(stack: SystemStack, scheme: Scheme, point) -> Array:

@@ -371,9 +371,9 @@ def _is_integral(value) -> bool:
 
 
 def _numbers(values, what: str, index: int) -> Array:
-    """``values`` as a float array of finite entries, or
-    :class:`StackDefinitionError`; a ``None`` entry, which numpy reads as NaN,
-    and an integer too large for a float are refused too."""
+    """``values`` as a float array of finite entries, or :class:`StackDefinitionError`;
+    numpy reads ``None`` as NaN and a string, bytes or bool as a number, so such
+    an entry is refused, and so is an integer too large for a float."""
     try:
         out = _block(values)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -381,6 +381,12 @@ def _numbers(values, what: str, index: int) -> Array:
                                    index=index) from exc
     if not np.isfinite(out).all():
         raise StackDefinitionError(f"{what} has a null or non-finite entry", index=index)
+    # The float conversion succeeded, so the nesting is regular and an object
+    # array of ``values`` holds its entries as given.
+    kind = values.dtype.kind if isinstance(values, np.ndarray) else "O"
+    if kind in "USb" or kind == "O" and any(isinstance(v, (str, bytes, bool, np.bool_))
+                                            for v in np.array(values, dtype=object).flat):
+        raise StackDefinitionError(f"{what} has a string, bytes or bool entry", index=index)
     return out
 
 
@@ -391,8 +397,8 @@ def linear_stack(dims: Sequence[int], blocks, offsets=None) -> SystemStack:
     gives the constant terms c[i] (default zero). Analytic Jacobians are the
     given blocks, and every subsystem declares ``constant_jacobian``. A
     dimension that is not an integral number (a bool included), a block row
-    or offset list of another nesting, or an entry that is not a finite
-    number (``None`` included) raises :class:`StackDefinitionError`.
+    or offset list of another nesting, or an entry that is not a finite number
+    (``None``, a string, bytes or a bool included) raises :class:`StackDefinitionError`.
     """
     if not _is_list(dims) or not all(_is_integral(d) for d in dims):
         raise StackDefinitionError(f"dims must be a list of integers, got {dims!r}")

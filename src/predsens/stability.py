@@ -171,7 +171,7 @@ def classify_local_stability(stack: SystemStack, scheme: Scheme, steady_point,
     """
     cond = compile_scheme(stack, scheme)
     x = _steady_point(stack, steady_point, tol)
-    jac, _, table = conditioned_jacobian(stack, cond, x)
+    jac, table = conditioned_jacobian(stack, cond, x)
     lams = _sorted_eigs(jac)
     abscissa = float(np.max(lams.real))
     if abscissa < -STABILITY_TOL:

@@ -559,20 +559,37 @@ def stack_config(draw):
 
 
 NULL_BLOCK = {"dims": [1, 1], "blocks": [[None, [[0]]], [[[0]], [[-1]]]]}
+TEXT_BOOL_BLOCKS = {"dims": [1, 1], "blocks": [["-1", [[True]]], [[[0]], [[-1]]]]}
+
+
+def _text_or_bool_leaf(value) -> bool:
+    """Whether JSON data, or numpy values in it, hold a string, bytes or a bool."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        value = value.tolist()
+    if isinstance(value, (list, dict)):
+        return any(map(_text_or_bool_leaf, value.values() if isinstance(value, dict) else value))
+    return isinstance(value, (str, bytes, bool))
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(stack_config())
 @example(NULL_BLOCK)
 @example({**NULL_BLOCK, "blocks": [[[[10 ** 400]], [[0]]], NULL_BLOCK["blocks"][1]]})
+@example(TEXT_BOOL_BLOCKS)
+@example({**TEXT_BOOL_BLOCKS, "blocks": [[[[-1]], [[0]]], [[[0]], [[-1]]]],
+          "offsets": [["1"], [False]]})
+@example({**TEXT_BOOL_BLOCKS, "blocks": [[np.array([["-1"]]), [[b"0"]]], [[[0]], [[-1]]]],
+          "offsets": [[np.bool_(True)], np.zeros(1)]})
 def test_linear_stack_builds_or_refuses_json_data(config):
     """``linear_stack`` on JSON data builds a stack of finite numbers, which
     round-trips through ``serialize_linear_stack`` bit for bit, or raises
-    ``StackDefinitionError`` (a ``ValueError``); nothing else escapes."""
+    ``StackDefinitionError`` (a ``ValueError``); nothing else escapes. A
+    string or a bool in ``blocks`` or ``offsets`` always raises."""
     try:
         stack = ps.linear_stack(config["dims"], config["blocks"], config.get("offsets"))
     except ps.StackDefinitionError:
         return
+    assert not _text_or_bool_leaf([config["blocks"], config.get("offsets")])
     again = serialize_linear_stack(stack)
     text = json.dumps(again, allow_nan=False)  # raises on a NaN or an infinity
     assert serialize_linear_stack(parse_linear_stack(json.loads(text))) == again

@@ -187,6 +187,24 @@ def test_classify_builds_at_most_one_table(linear3_stack, count_calls, make_sche
     assert (report.block_eigenvalues is not None) == (tables == 1)
 
 
+def test_stability_checks_build_no_conditioning_matrix(count_calls):
+    """Verdicts, Jacobians and the triangular form never build the dense M,
+    under scalar or matrix gains; an exact affine compile builds it once, for
+    its ``b_c``."""
+    stack = ps.linear_stack([1, 2], [[[[-2.0]], [[0.5, 0.0]]],
+                                     [[[1.0], [0.0]], [[-3.0, 1.0], [0.0, -2.0]]]])
+    origin = np.zeros(3)
+    built = count_calls(conditioning, "conditioning_matrix")
+    for scheme in (ps.PredictiveSensitivity(), ps.Preconditioned([2.0, 0.5]),
+                   ps.Preconditioned([[[2.0]], [[1.0, 0.5], [0.0, 2.0]]])):
+        ps.classify_local_stability(stack, scheme, origin)
+        ps.jacobian_at(stack, scheme, origin)
+    ps.block_triangular_form(stack, origin)
+    assert built == []
+    conditioning.make_conditioned_field(stack, ps.PredictiveSensitivity())
+    assert len(built) == 1
+
+
 def test_classify_requires_steady_point(r2_stack):
     with pytest.raises(ps.NotSteadyStateError):
         ps.classify_local_stability(r2_stack, ps.Plain(), [0.5, 0.0])
