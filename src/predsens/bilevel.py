@@ -167,10 +167,12 @@ class IterateLog:
 
 
 DIVERGENCE_CAP = 1e6
+DESCENT_MAX_ITER = 200  # default step count of solve_discrete
+DESCENT_TOL = 1e-8  # default residual at which solve_discrete stops
 
 
 def solve_discrete(problem: BilevelProblem, method: str, tau: float, x0,
-                   max_iter: int = 200, tol: float = 1e-8,
+                   max_iter: int = DESCENT_MAX_ITER, tol: float = DESCENT_TOL,
                    eps: float | None = None) -> IterateLog:
     """Simultaneous discrete descent x + tau M^{-1} f(x) on the gradient-flow
     stack f = (-D, -grad2 F2) of :func:`as_system_stack`, with step size tau.

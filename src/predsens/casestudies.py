@@ -110,7 +110,7 @@ def cascade_matrices(params: CascadeParams) -> CascadeMatrices:
     return CascadeMatrices(A=a, T=t, B=b, A_tilde=a_tilde, s_row=s_row)
 
 
-def cascade_stack(params: CascadeParams, x1_ref: float = 0.0) -> SystemStack:
+def cascade_stack(params: CascadeParams, x1_ref: float) -> SystemStack:
     """Two-level affine stack: slow block (x1, zeta1), fast block (x2, zeta2).
 
     The blocks are those of :func:`cascade_matrices`' ``A`` and the offsets
@@ -209,7 +209,6 @@ SETTLE_BAND_PU = 0.01  # |v| has settled once it stays within 1 % of 1 p.u.
 class BlackStartMetrics:
     """Per-unit voltage trace and the summary numbers read off it."""
 
-    times: Array
     voltage_magnitude_pu: Array
     frequency_hz: Array
     overshoot_pu: float
@@ -264,7 +263,7 @@ def black_start_metrics(params: RlcParams, trajectory: Trajectory) -> BlackStart
             settling = float(t[0])
         elif outside[-1] + 1 < t.size:
             settling = float(t[outside[-1] + 1])
-    return BlackStartMetrics(times=t, voltage_magnitude_pu=mag_pu, frequency_hz=freq,
+    return BlackStartMetrics(voltage_magnitude_pu=mag_pu, frequency_hz=freq,
                              overshoot_pu=overshoot, settling_time_s=settling,
                              stable=stable, diverged_at=diverged_at)
 

@@ -14,8 +14,6 @@ from .model import Array, SystemStack, linear_stack
 
 @dataclass(frozen=True)
 class BuiltinStack:
-    name: str
-    description: str
     factory: Callable[[], SystemStack]
     default_x0: tuple[float, ...]
     equilibrium: tuple[float, ...]
@@ -50,25 +48,13 @@ def _bilevel_example() -> SystemStack:
 
 
 BUILTIN_STACKS: dict[str, BuiltinStack] = {
-    "r2": BuiltinStack(
-        "r2", "two scalar levels whose plain coupling is unstable",
-        _r2, (1.0, 0.0), (0.0, 0.0)),
-    "tracking": BuiltinStack(
-        "tracking", "fast scalar level chasing the slow one",
-        _tracking, (1.0, 1.0), (0.0, 0.0)),
-    "linear3": BuiltinStack(
-        "linear3", "three coupled scalar levels",
-        _linear3, (1.0, 1.0, 1.0), (0.0, 0.0, 0.0)),
-    "cascade": BuiltinStack(
-        "cascade", "cascade PI loop (unit plants and gains, reference 1)",
-        _cascade, (0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0)),
-    "rlc": BuiltinStack(
-        "rlc", "converter RLC filter under cascaded PI control",
-        _rlc, tuple([0.0] * 8),
-        tuple(casestudies.rlc_equilibrium(casestudies.RlcParams()))),
-    "bilevel-example": BuiltinStack(
-        "bilevel-example", "gradient flow of the bundled bilevel example",
-        _bilevel_example, (2.0, 2.0), (0.0, 0.0)),
+    "r2": BuiltinStack(_r2, (1.0, 0.0), (0.0, 0.0)),
+    "tracking": BuiltinStack(_tracking, (1.0, 1.0), (0.0, 0.0)),
+    "linear3": BuiltinStack(_linear3, (1.0, 1.0, 1.0), (0.0, 0.0, 0.0)),
+    "cascade": BuiltinStack(_cascade, (0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0)),
+    "rlc": BuiltinStack(_rlc, tuple([0.0] * 8),
+                        tuple(casestudies.rlc_equilibrium(casestudies.RlcParams()))),
+    "bilevel-example": BuiltinStack(_bilevel_example, (2.0, 2.0), (0.0, 0.0)),
 }
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import predsens as ps
-from predsens import registry
+from predsens import casestudies as cs, registry
 from predsens.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, parse_linear_stack,
                           parse_scheme, run, serialize_linear_stack)
 
@@ -329,3 +329,39 @@ def test_scheme_grammar_epsilon_forms(r2_stack):
     assert isinstance(noisy, ps.ApproximateSensitivity)
     precond = parse_scheme("precond:2,3", r2_stack, np.zeros(2))
     assert precond.gains == (2.0, 3.0)
+
+
+@pytest.mark.parametrize("scheme, message", [
+    ("predsens:1,2", "unknown scheme 'predsens:1,2'"),
+    ("plain:junk", "unknown scheme 'plain:junk'"),
+    ("approx:frozen:junk", "unknown approx variant 'frozen:junk'"),
+    ("approx:noise", "approx:noise needs a sigma, as in approx:noise:0.05"),
+    ("approx:noise:", "approx:noise needs a sigma, as in approx:noise:0.05")],
+    ids=["predsens-args", "plain-args", "frozen-args", "noise-no-sigma", "noise-empty-sigma"])
+def test_scheme_token_with_trailing_text_exits_2(tmp_path, capsys, scheme, message):
+    """``plain``, ``predsens`` and ``approx:frozen`` are exact tokens and a
+    noise scale must be given: nothing after a token is silently dropped."""
+    assert run(["simulate", "--stack", "bilevel-example", "--x0", "0.3,0.31",
+                "--dt", "0.04", "--t-end", "0.4", "--scheme", scheme,
+                "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_stability_of_a_stack_file_needs_a_point(tmp_path, capsys):
+    path = tmp_path / "stack.json"
+    path.write_text(json.dumps(R2_CONFIG))
+    assert run(["stability", "--stack-file", str(path),
+                "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: custom stacks need an explicit --point\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_bilevel_defaults_are_the_library_defaults(tmp_path):
+    """Without --x0, --iters or --tol, ``bilevel`` runs ``solve_discrete`` at
+    its own defaults from the registry's start for ``bilevel-example``."""
+    assert run(["bilevel", "--out", str(tmp_path / "cli")]) == EXIT_OK
+    log = ps.solve_discrete(cs.bilevel_example_problem(), "ps", 0.25,
+                            registry.default_x0("bilevel-example"))
+    log.to_csv(tmp_path / "lib.csv")
+    assert (tmp_path / "cli" / "iterates.csv").read_bytes() == (tmp_path / "lib.csv").read_bytes()

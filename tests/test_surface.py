@@ -13,7 +13,6 @@ KEPT_DEFAULTS = {
     "bilevel.solve_discrete.eps",
     "bilevel.solve_discrete.max_iter",
     "bilevel.solve_discrete.tol",
-    "casestudies.cascade_stack.x1_ref",
     "casestudies.run_black_start.settings",
     "cli.run.argv",
     "conditioning.noisy_sensitivity_provider.seed",
