@@ -40,7 +40,7 @@ CASCADE_FLAGS = ("a1", "b1", "a2", "b2", "kp1", "ki1", "kp2", "ki2")
 
 def _floats(text: str, what: str) -> list[float]:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        return [float(tok) for tok in text.split(",")]
     except ValueError:
         raise ValueError(f"could not parse {what} from {text!r}") from None
 
@@ -83,6 +83,10 @@ def parse_linear_stack(config: dict) -> SystemStack:
     """Build an affine stack from {dims, blocks, offsets} JSON data."""
     if not isinstance(config, dict) or "dims" not in config or "blocks" not in config:
         raise ValueError("linear stack JSON needs 'dims' and 'blocks'")
+    unknown = sorted(set(config) - {"dims", "blocks", "offsets"}, key=str)
+    if unknown:
+        raise ValueError(f"linear stack JSON has unknown keys {unknown}; "
+                         f"expected dims, blocks and offsets")
     return linear_stack(config["dims"], config["blocks"], config.get("offsets"))
 
 
@@ -127,7 +131,7 @@ def _json(data: dict):
 
 def _cmd_simulate(args) -> tuple[dict, str]:
     stack, x0_default, _ = _load_stack(args)
-    x0 = np.asarray(_floats(args.x0, "--x0"), dtype=float) if args.x0 else x0_default
+    x0 = x0_default if args.x0 is None else np.asarray(_floats(args.x0, "--x0"), dtype=float)
     scheme = parse_scheme(args.scheme, stack, x0)
     settings = IntegrationSettings(method=args.method, dt=args.dt, t_end=args.t_end,
                                    divergence_threshold=args.divergence_threshold)
@@ -146,7 +150,7 @@ def _cmd_simulate(args) -> tuple[dict, str]:
 
 def _cmd_stability(args) -> tuple[dict, str]:
     stack, _, equilibrium = _load_stack(args)
-    if args.point:
+    if args.point is not None:
         point = np.asarray(_floats(args.point, "--point"), dtype=float)
     elif equilibrium is not None:
         point = equilibrium

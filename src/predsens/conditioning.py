@@ -323,8 +323,9 @@ def noisy_sensitivity_provider(sigma: float, seed: int = 0) -> SensProvider:
     """Provider adding zero-mean Gaussian noise (scale ``sigma``) to the exact
     sensitivities. The noise is drawn from a generator seeded by ``seed`` and
     the bytes of the state, so the provider is a function of the state.
-    A ``sigma`` that is negative or not finite raises ``ValueError`` here."""
-    if not 0.0 <= sigma < math.inf:
+    A ``sigma`` that is negative (-0.0 included) or not finite raises
+    ``ValueError`` here."""
+    if not 0.0 <= sigma < math.inf or math.copysign(1.0, sigma) < 0:
         raise ValueError(f"sigma must be nonnegative and finite, got {sigma}")
 
     def provider(stack: SystemStack, x: Array):

@@ -25,10 +25,10 @@ DEFAULT_DIVERGENCE_THRESHOLD = 1e6
 #: overflow.
 OVERFLOW_LIMIT = 1e150
 
-#: States are written into a preallocated block of this many rows; a full
-#: block is replaced by one four times larger, capped at the whole grid, so a
-#: run that stops early never reserves memory for the whole grid.
-FIRST_STATE_ROWS = 4096
+#: A run reserves its whole state grid up front (only the rows it writes
+#: become resident); a grid of more bytes than this is refused before the
+#: first step.
+MAX_STATE_BYTES = 2**30
 
 #: An affine run steps this many rows at most before it checks their norms.
 AFFINE_BLOCK_ROWS = 1024
@@ -102,13 +102,6 @@ def _step_map(f, step, dt: float, dim: int) -> tuple[Array, Array]:
     return p, q
 
 
-def _grown(states: Array, rows: int) -> Array:
-    """``states`` copied into a block four times its length, capped at ``rows``."""
-    grown = np.empty((min(rows, 4 * len(states)), states.shape[1]))
-    grown[:len(states)] = states
-    return grown
-
-
 def integrate_ode(stack: SystemStack, scheme: Scheme, x0,
                   settings: IntegrationSettings) -> Trajectory:
     """Integrate the conditioned field from ``x0`` on a fixed grid.
@@ -129,6 +122,10 @@ def integrate_ode(stack: SystemStack, scheme: Scheme, x0,
     Either way the new rows are written into the state array and checked
     together: the run ends at their first row past the limit, which is kept
     if finite and dropped if not, and ``diverged_at`` is that row's time.
+
+    The state array holds the whole grid, reserved once; a grid of more than
+    ``MAX_STATE_BYTES`` bytes raises ``ValueError`` before anything is
+    compiled or stepped.
     """
     x = as_flat(stack, x0)
     if not np.all(np.isfinite(x)):
@@ -137,7 +134,10 @@ def integrate_ode(stack: SystemStack, scheme: Scheme, x0,
     dt = settings.dt
     rows = int(round(settings.t_end / dt)) + 1
     limit = min(settings.divergence_threshold, OVERFLOW_LIMIT)
-    states = np.empty((min(rows, FIRST_STATE_ROWS), x.size))
+    if rows * x.nbytes > MAX_STATE_BYTES:
+        raise ValueError(f"a grid of {rows:.4g} rows of {x.size} states is over "
+                         f"MAX_STATE_BYTES = {MAX_STATE_BYTES} bytes")
+    states = np.empty((rows, x.size))
     states[0] = x
     count = 0  # rows written; a failure before the first step is at time 0.0
     diverged_at = None
@@ -150,10 +150,8 @@ def integrate_ode(stack: SystemStack, scheme: Scheme, x0,
             dot = p.dot
         count = 1
         while count < rows and diverged_at is None:
-            if count == len(states):
-                states = _grown(states, rows)
             if affine:
-                end = min(len(states), count + AFFINE_BLOCK_ROWS)
+                end = min(rows, count + AFFINE_BLOCK_ROWS)
                 # rows after the one that ends a run may overflow; they are dropped
                 with np.errstate(over="ignore", invalid="ignore"):
                     for prev, row in zip(states[count - 1:end - 1], states[count:end]):
@@ -173,7 +171,7 @@ def integrate_ode(stack: SystemStack, scheme: Scheme, x0,
         exc.time = count * dt  # type: ignore[attr-defined]
         raise
     return Trajectory(times=np.arange(count) * dt,
-                      states=states if count == len(states) else states[:count].copy(),
+                      states=states if count == rows else states[:count].copy(),
                       diverged=diverged_at is not None, diverged_at=diverged_at)
 
 

@@ -82,6 +82,8 @@ def _steady_point(stack: SystemStack, point, tol: float) -> Array:
         raise ValueError(f"point must be finite, got {x.tolist()}")
     if math.isnan(tol):
         raise ValueError("tol must be a number, got nan")
+    if tol < 0:
+        raise ValueError(f"tol must be nonnegative, got {tol}")
     fnorm = float(np.linalg.norm(stack.field(x)))
     if not fnorm <= tol:
         raise NotSteadyStateError(

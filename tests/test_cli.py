@@ -365,3 +365,43 @@ def test_bilevel_defaults_are_the_library_defaults(tmp_path):
                             registry.default_x0("bilevel-example"))
     log.to_csv(tmp_path / "lib.csv")
     assert (tmp_path / "cli" / "iterates.csv").read_bytes() == (tmp_path / "lib.csv").read_bytes()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["stability", "--stack", "r2", "--scheme", "precond:1,,2"],
+     "could not parse gains from '1,,2'"),
+    (["stability", "--stack", "r2", "--scheme", "precond:1,2,"],
+     "could not parse gains from '1,2,'"),
+    (["stability", "--stack", "r2", "--scheme", "singular:,0.5"],
+     "could not parse epsilons from ',0.5'"),
+    (["stability", "--stack", "r2", "--point", "0,,0"], "could not parse --point from '0,,0'"),
+    (["stability", "--stack", "r2", "--point", ""], "could not parse --point from ''"),
+    (["bilevel", "--x0", "0.4,,0.4"], "could not parse --x0 from '0.4,,0.4'"),
+    (["simulate", "--stack", "r2", "--x0", ""], "could not parse --x0 from ''"),
+    (["simulate", "--stack-file", "OFFSET_TYPO"],
+     "linear stack JSON has unknown keys ['offset']; expected dims, blocks and offsets"),
+    (["stability", "--stack", "r2", "--tol", "-1"], "tol must be nonnegative, got -1.0"),
+    (["simulate", "--stack", "r2", "--scheme", "approx:noise:-0"],
+     "sigma must be nonnegative and finite, got -0.0")],
+    ids=["empty-gain", "trailing-comma", "empty-epsilon", "empty-point-entry", "empty-point",
+         "empty-x0-entry", "empty-x0", "unknown-stack-key", "negative-tol", "negative-zero-sigma"])
+def test_input_that_would_be_misread_exits_2(tmp_path, capsys, args, message):
+    """Every number typed is read or refused: an empty list entry, an empty
+    ``--x0`` or ``--point``, an unknown stack-file key, a negative ``tol`` and
+    a sigma of -0 exit 2 with one stderr line and no output directory."""
+    typo = tmp_path / "offset.json"
+    typo.write_text(json.dumps({**R2_CONFIG, "offset": [[0.25], [-1.5]]}))
+    args = [str(typo) if a == "OFFSET_TYPO" else a for a in args]
+    assert run([*args, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_grid_over_the_byte_cap_exits_2(tmp_path, capsys):
+    """A grid of 1e300 steps is refused before it is reserved or stepped."""
+    assert run(["simulate", "--stack", "r2", "--dt", "1e-300", "--t-end", "1",
+                "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: a grid of 1e+300 rows of 2 states is over MAX_STATE_BYTES")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()

@@ -153,7 +153,8 @@ def test_noisy_provider_is_deterministic(r2_stack):
         a[1][0], ps.total_derivative_table(r2_stack, np.zeros(2)).sens[1][0])
 
 
-@pytest.mark.parametrize("sigma", [-1.0, -5e-324, float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("sigma", [-1.0, -5e-324, float("nan"), float("inf"), float("-inf"),
+                                   -0.0])
 def test_noisy_provider_rejects_a_bad_sigma_when_built(sigma):
     with pytest.raises(ValueError, match="sigma must be nonnegative and finite"):
         ps.noisy_sensitivity_provider(sigma)

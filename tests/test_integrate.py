@@ -323,11 +323,29 @@ def test_manifold_error_marks_unsolvable_samples_nan():
     assert np.all(np.isnan(err))
 
 
-def test_affine_step_map_matches_per_call_steps(monkeypatch):
+def test_grid_over_the_byte_cap_is_refused_before_any_step(monkeypatch):
+    """A grid of more than ``MAX_STATE_BYTES`` bytes raises ``ValueError``
+    before the field is called; a grid of exactly the cap runs."""
+    monkeypatch.setattr(integrate, "MAX_STATE_BYTES", 320)  # 20 rows of 2 states
+    calls = []
+
+    def slow(x):
+        calls.append(x)
+        return np.array([-x[0]])
+
+    stack = ps.SystemStack([ps.Subsystem(1, slow),
+                            ps.Subsystem(1, lambda x: np.array([x[0] - x[1]]))])
+    with pytest.raises(ValueError, match="a grid of 21 rows of 2 states is over MAX_STATE_BYTES"):
+        ps.integrate_ode(stack, ps.Plain(), [1.0, 0.0], ps.IntegrationSettings("euler", 0.1, 2.0))
+    assert calls == []
+    traj = ps.integrate_ode(stack, ps.Plain(), [1.0, 0.0], ps.IntegrationSettings("euler", 0.1, 1.9))
+    assert traj.states.shape == (20, 2) and len(calls) == 19
+
+
+def test_affine_step_map_matches_per_call_steps():
     """On affine stacks one step is the map x -> P x + q; runs through it
     match runs that step through the field, in divergence, time grid and
-    states (1e-10 of the state scale), across growing state blocks."""
-    monkeypatch.setattr(integrate, "FIRST_STATE_ROWS", 3)
+    states (1e-10 of the state scale)."""
     # slow level grows like e^{t/2}: crosses the threshold 10 near t = 4.6
     unstable = ps.linear_stack([1, 1], [[[[0.5]], [[0.0]]], [[[1.0]], [[-1.0]]]])
     diverged = 0

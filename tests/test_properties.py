@@ -386,29 +386,27 @@ def _per_step_run(stack, scheme, x0, settings):
     return np.array(rows), diverged_at
 
 
-def growth_run(rate, threshold, steps, small_blocks=False, x0=1.0):
+def growth_run(rate, threshold, steps, x0=1.0):
     """Euler with dt 1 on a slow level ``x' = rate x`` (a fast level decays):
     from ``(x0, 0)`` row k is ``((1 + rate)^k x0, 0)``."""
     stack = ps.linear_stack([1, 1], [[[[rate]], [[0.0]]], [[[0.0]], [[-1.0]]]])
     settings = ps.IntegrationSettings("euler", 1.0, float(steps), divergence_threshold=threshold)
-    return stack, ps.Plain(), np.array([x0, 0.0]), settings, small_blocks
+    return stack, ps.Plain(), np.array([x0, 0.0]), settings
 
 
-def ends_on_row(target, small_blocks=False):
-    """A ``growth_run`` whose first row past the threshold is ``target``."""
-    return growth_run(1 / 64, (1 + 1 / 64) ** (target - 0.5), target + 5, small_blocks)
+def ends_on_row(target, rows_after=5):
+    """A ``growth_run`` whose first row past the threshold is ``target``,
+    on a grid of ``rows_after`` more rows."""
+    return growth_run(1 / 64, (1 + 1 / 64) ** (target - 0.5), target + rows_after)
 
 
 def _assert_blocked_run_is_per_step(case):
     """``integrate_ode`` gives the rows, times and divergence of
     ``_per_step_run`` bit for bit, with ``diverged_at`` a float; returns the
     trajectory."""
-    stack, scheme, x0, run_settings, small_blocks = case
+    stack, scheme, x0, run_settings = case
     rows, diverged_at = _per_step_run(stack, scheme, x0, run_settings)
-    with pytest.MonkeyPatch.context() as mp:
-        if small_blocks:
-            mp.setattr(integrate, "FIRST_STATE_ROWS", 3)
-        traj = ps.integrate_ode(stack, scheme, x0, run_settings)
+    traj = ps.integrate_ode(stack, scheme, x0, run_settings)
     assert traj.states.shape == rows.shape and traj.states.tobytes() == rows.tobytes()
     assert traj.times.tobytes() == (np.arange(len(rows)) * run_settings.dt).tobytes()
     assert traj.diverged == (diverged_at is not None)
@@ -421,7 +419,7 @@ def _assert_blocked_run_is_per_step(case):
 def affine_run(draw, max_dim=3):
     """A random affine stack (block dims 1..max_dim, diagonal blocks shifted
     by -3, 0, +1 or +3 I, so most runs grow), an exact scheme, a start and
-    settings, and whether the state array starts at 3 rows."""
+    settings."""
     stack, _, x = draw(affine_stack_point(3, st.sampled_from([3.0, 0.0, -1.0, -3.0]), max_dim))
     n = len(stack)
     scheme = draw(st.sampled_from([ps.Plain(), ps.SingularPerturbation([1.0] + [0.5] * (n - 1)),
@@ -430,7 +428,7 @@ def affine_run(draw, max_dim=3):
     settings = ps.IntegrationSettings(
         draw(st.sampled_from(["euler", "rk4"])), dt, draw(st.integers(200, 4200)) * dt,
         divergence_threshold=draw(st.sampled_from([10.0, 1e3, 1e6, np.inf])))
-    return stack, scheme, x, settings, draw(st.booleans())
+    return stack, scheme, x, settings
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -454,7 +452,7 @@ def seeded_affine_run(dims, seed):
               for i in range(len(dims))]
     stack = ps.linear_stack(dims, blocks, [rng.uniform(-1.0, 1.0, d) for d in dims])
     return (stack, ps.PredictiveSensitivity(), rng.uniform(-10.0, 10.0, total),
-            ps.IntegrationSettings("rk4", 0.01, 20.0), False)
+            ps.IntegrationSettings("rk4", 0.01, 20.0))
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -475,25 +473,26 @@ def test_black_start_run_is_the_per_step_loop():
     predictive sensitivity) is the per-step loop bit for bit."""
     stack = casestudies.rlc_stack(casestudies.RlcParams())
     run = (stack, ps.PredictiveSensitivity(), np.zeros(stack.total_dim),
-           casestudies.default_black_start_settings(), False)
+           casestudies.default_black_start_settings())
     traj = _assert_blocked_run_is_per_step(run)
     assert traj.states.shape == (20001, 8) and not traj.diverged
 
 
-#: Runs that end on a chosen row, as (case, index of the last row kept). With
-#: ``FIRST_STATE_ROWS`` 4096 the blocks start at rows 1, 1025, 2049, 3073 and
-#: 4096 (where the state array grows); with 3, at rows 1, 3, 12 and 48.
+#: Runs that end on a chosen row, as (case, index of the last row kept). The
+#: affine blocks start at rows 1, 1025, 2049, 3073 and 4097; a block is cut
+#: short where the grid ends, and the small-block runs end on the last row of
+#: their grid, inside the first block.
 FIXED_RUNS = {
     **{f"block-edge-{t}": (ends_on_row(t), t) for t in (1, 2, 1023, 1024, 1025, 4095, 4096, 4097)},
-    **{f"small-block-edge-{t}": (ends_on_row(t, True), t) for t in (2, 3, 11, 12, 47, 48)},
+    **{f"small-block-edge-{t}": (ends_on_row(t, 0), t) for t in (2, 3, 11, 12, 47, 48)},
     # 1.5^852 is the first power past OVERFLOW_LIMIT
     "overflow-limit": (growth_run(0.5, np.inf, 2000), 852),
-    "overflow-limit-small-blocks": (growth_run(0.5, np.inf, 2000, small_blocks=True), 852),
+    "overflow-limit-small-blocks": (growth_run(0.5, np.inf, 852), 852),
     "inf-row-dropped": (growth_run(1e300, 1e6, 4, x0=1e10), 0),
     # 1e310 - 1e310 in one product: NaN, or -inf where the product is fused
     "cancelling-row-dropped": (
         (ps.linear_stack([1, 1], [[[[1e300]], [[-1e300]]], [[[0.0]], [[-1.0]]]]), ps.Plain(),
-         np.array([1e10, 1e10]), ps.IntegrationSettings("euler", 1.0, 4.0), False), 0),
+         np.array([1e10, 1e10]), ps.IntegrationSettings("euler", 1.0, 4.0)), 0),
 }
 
 

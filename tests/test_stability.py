@@ -213,6 +213,9 @@ def test_classify_requires_steady_point(r2_stack):
             ps.classify_local_stability(r2_stack, ps.Plain(), point)
     with pytest.raises(ValueError, match="tol"):
         ps.classify_local_stability(r2_stack, ps.Plain(), [1.0, 1.0], tol=np.nan)
+    # no residual is below a negative tol: a configuration error, not a failed check
+    with pytest.raises(ValueError, match="tol must be nonnegative"):
+        ps.classify_local_stability(r2_stack, ps.Plain(), [0.0, 0.0], tol=-1.0)
 
 
 def test_similarity_preservation_on_random_stacks(random_linear_suite):
