@@ -91,18 +91,16 @@ def lower_solve(problem: BilevelProblem, x1, guess) -> Vec:
     return steady_state_solve(as_system_stack(problem), 1, np.concatenate([x1, g]))[problem.n1:]
 
 
-def reduced_hessian_fd(problem: BilevelProblem, x1, x2_guess=None) -> Array:
+def reduced_hessian_fd(problem: BilevelProblem, x1, x2_guess) -> Array:
     """Second total derivative of the upper objective by central differences.
 
-    Differentiates x1 -> D(x1, x2*(x1)) with the lower level re-solved by
-    Newton at each probe; matches the third-derivative expansion to
-    O(REDUCED_HESSIAN_FD_STEP^2) while staying independently checkable.
+    Differentiates x1 -> D(x1, x2*(x1)), the lower level re-solved by Newton
+    at each probe from its solution near ``x2_guess``; matches the
+    third-derivative expansion to O(REDUCED_HESSIAN_FD_STEP^2) while staying
+    independently checkable.
     """
     x1 = _vec(x1, problem.n1, "x1")
-    guess = x1.copy() if x2_guess is None else _vec(x2_guess, problem.n2, "x2_guess")
-    if guess.size != problem.n2:
-        guess = np.zeros(problem.n2)
-    center = lower_solve(problem, x1, guess)
+    center = lower_solve(problem, x1, _vec(x2_guess, problem.n2, "x2_guess"))
 
     def total_on_manifold(z: Vec) -> Vec:
         x2 = lower_solve(problem, z, center)
@@ -119,9 +117,7 @@ class SolutionVerdict(str, Enum):
 
 @dataclass
 class PointClassification:
-    stationary: bool
-    lower_hessian_min_eig: float
-    reduced_hessian: Array | None
+    reduced_hessian: Array | None  # None unless the point is stationary
     verdict: SolutionVerdict
 
 
@@ -138,17 +134,17 @@ def classify_point(problem: BilevelProblem, x1, x2) -> PointClassification:
     g2 = np.asarray(problem.grad_lower_x2(x1, x2), dtype=float).reshape(-1)
     d = total_gradient(problem, x1, x2)
     stationary = float(np.linalg.norm(g2)) <= tol and float(np.linalg.norm(d)) <= tol
+    if not stationary:
+        return PointClassification(None, SolutionVerdict.NOT_STATIONARY)
     h22 = problem.hess22(x1, x2)
     low_eig = float(np.min(np.linalg.eigvalsh(0.5 * (h22 + h22.T))))
-    if not stationary:
-        return PointClassification(False, low_eig, None, SolutionVerdict.NOT_STATIONARY)
-    red = reduced_hessian_fd(problem, x1, x2_guess=x2)
+    red = reduced_hessian_fd(problem, x1, x2)
     red_eig = float(np.min(np.linalg.eigvalsh(0.5 * (red + red.T))))
     if low_eig > tol and red_eig > tol:
         verdict = SolutionVerdict.STRICT_LOCAL_SOLUTION_CANDIDATE
     else:
         verdict = SolutionVerdict.STATIONARY_NOT_SUFFICIENT
-    return PointClassification(True, low_eig, red, verdict)
+    return PointClassification(red, verdict)
 
 
 @dataclass
@@ -180,9 +176,9 @@ def solve_discrete(problem: BilevelProblem, method: str, tau: float, x0,
     ``method`` picks the conditioner M, compiled by
     :func:`~predsens.conditioning.compile_scheme`: ``"ps"`` is
     :class:`~predsens.conditioning.PredictiveSensitivity`, which feeds the
-    upper step forward through the sensitivity; ``"gda"`` divides the lower
-    step by ``eps`` (the descent analogue of singular perturbation, for any
-    positive eps, above 1 too). The residual is the norm of f.
+    upper step forward through the sensitivity and takes no ``eps``;
+    ``"gda"`` divides the lower step by any positive ``eps`` (the descent
+    analogue of singular perturbation, above 1 too). The residual is |f|.
 
     Leaving ``DIVERGENCE_CAP``, or reaching a singular lower Hessian (kept
     with a NaN residual), ends the run as diverged; one at ``x0`` raises.
@@ -193,10 +189,12 @@ def solve_discrete(problem: BilevelProblem, method: str, tau: float, x0,
         raise ValueError(f"method must be 'ps' or 'gda', got {method!r}")
     if method == "gda" and (eps is None or not 0 < eps < np.inf):
         raise ValueError(f"gda needs a positive, finite eps, got {eps}")
+    if method == "ps" and eps is not None:
+        raise ValueError(f"ps takes no eps, got {eps}")
     if max_iter < 0:
         raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
-    if np.isnan(tol):
-        raise ValueError("tol must be a number, got nan")
+    if not tol >= 0:  # NaN too
+        raise ValueError(f"tol must be nonnegative, got {tol}")
     n1 = problem.n1
     x = np.asarray(x0, dtype=float).reshape(-1)
     if x.size != n1 + problem.n2:
@@ -207,22 +205,23 @@ def solve_discrete(problem: BilevelProblem, method: str, tau: float, x0,
     cond = compile_scheme(stack, PredictiveSensitivity() if method == "ps"
                           else Conditioner((1.0, float(eps)), None, False))
     iterates, residuals = [], []
-    for used in range(max_iter + 1):
-        try:
-            f = stack.field(x)
-        except SingularMatrixError:  # run-off: the lower Hessian vanished
-            if used == 0:
-                raise
-            f = np.full(x.size, np.nan)
-        iterates.append(x)
-        residuals.append(float(np.hypot(np.linalg.norm(f[:n1]), np.linalg.norm(f[n1:]))))
-        converged = bool(residuals[-1] <= tol)
-        diverged = used > 0 and bool(np.linalg.norm(x) > DIVERGENCE_CAP
-                                     or not np.isfinite(residuals[-1]))
-        if converged or diverged or used == max_iter:
-            break
-        sens = None if cond.sens is None else cond.sens(x)
-        x = x + tau * np.concatenate(_forward_substitute(cond, sens, [f[:n1], f[n1:]]))
+    with np.errstate(over="ignore", invalid="ignore"):  # a run-off may leave the float range
+        for used in range(max_iter + 1):
+            try:
+                f = stack.field(x)
+            except SingularMatrixError:  # run-off: the lower Hessian vanished
+                if used == 0:
+                    raise
+                f = np.full(x.size, np.nan)
+            iterates.append(x)
+            residuals.append(float(np.hypot(np.linalg.norm(f[:n1]), np.linalg.norm(f[n1:]))))
+            converged = bool(residuals[-1] <= tol)
+            diverged = used > 0 and bool(np.linalg.norm(x) > DIVERGENCE_CAP
+                                         or not np.isfinite(residuals[-1]))
+            if converged or diverged or used == max_iter:
+                break
+            sens = None if cond.sens is None else cond.sens(x)
+            x = x + tau * np.concatenate(_forward_substitute(cond, sens, [f[:n1], f[n1:]]))
     return IterateLog(iterates=np.asarray(iterates), residuals=np.asarray(residuals),
                       converged=converged, iterations_used=used, diverged=diverged,
                       n1=n1, n2=problem.n2)

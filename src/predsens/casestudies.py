@@ -136,13 +136,11 @@ def cascade_equilibrium(params: CascadeParams, x1_ref: float) -> Array:
 class RlcParams:
     """Converter LC-filter plant in rotating-frame rectangular coordinates.
 
-    The modulated voltage regulates the current i through R and L; i in
-    turn regulates the capacitor voltage v toward ``v_ref``. Gains follow
-    the cascaded PI layout, outer loop (k_pv, k_iv), inner loop (k_pi,
-    k_ii). Values default to the bundled simulation parameters."""
+    The modulated voltage sets the current i, cancelling R and L, which are
+    therefore no parameters; i regulates the capacitor voltage v toward
+    ``v_ref``. Gains follow the cascaded PI layout, outer loop (k_pv, k_iv),
+    inner loop (k_pi, k_ii). Values default to the bundled simulation ones."""
 
-    r: float = 1e-3
-    l: float = 1e-3
     c: float = 300e-6
     omega: float = 2.0 * math.pi * 50.0
     v_ref: tuple[float, float] = (120.0, 0.0)
@@ -155,8 +153,8 @@ class RlcParams:
         for f in fields(self):
             if not np.all(np.isfinite(getattr(self, f.name))):
                 raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
-        if min(self.r, self.l, self.c) <= 0:
-            raise ValueError("R, L, and C must be positive")
+        if self.c <= 0:
+            raise ValueError(f"c must be positive, got {self.c}")
         if self.omega < 0:
             raise ValueError("omega must be nonnegative")
 
@@ -268,14 +266,11 @@ def black_start_metrics(params: RlcParams, trajectory: Trajectory) -> BlackStart
                              stable=stable, diverged_at=diverged_at)
 
 
-def run_black_start(params: RlcParams, scheme: Scheme,
-                    settings: IntegrationSettings | None = None):
+def run_black_start(params: RlcParams, scheme: Scheme, settings: IntegrationSettings):
     """Zero-state start toward the constant voltage reference.
 
     Returns the trajectory plus the metrics derived from its v block.
     """
-    if settings is None:
-        settings = default_black_start_settings()
     stack = rlc_stack(params)
     x0 = np.zeros(stack.total_dim)
     trajectory = integrate_ode(stack, scheme, x0, settings)

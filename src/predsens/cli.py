@@ -38,6 +38,11 @@ NUMERICAL_ERRORS = (SingularMatrixError, ConvergenceError, EvaluationError,
 CASCADE_FLAGS = ("a1", "b1", "a2", "b2", "kp1", "ki1", "kp2", "ki2")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one stderr line, as every other refusal prints
+        self.exit(EXIT_CONFIG, f"error: {message}\n")
+
+
 def _floats(text: str, what: str) -> list[float]:
     try:
         return [float(tok) for tok in text.split(",")]
@@ -207,7 +212,7 @@ def _cmd_bilevel(args) -> tuple[dict, str]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="predsens",
         description="Simulate and analyze slow-to-fast interconnected systems "
                     "under plain, singular-perturbation, predictive-sensitivity, "

@@ -74,7 +74,7 @@ def black_start_runs():
     for kpi, kii in [(50.0, 100.0), (100.0, 200.0), (250.0, 500.0)]:
         params = cs.RlcParams(k_pi=kpi, k_ii=kii)
         runs[("predsens", kpi, kii)] = cs.run_black_start(
-            params, ps.PredictiveSensitivity())
+            params, ps.PredictiveSensitivity(), cs.default_black_start_settings())
     tiers_elapsed = time.perf_counter() - t0
     params = cs.RlcParams(k_pi=50.0, k_ii=100.0)
     # instability grows at ~e^{0.85 t}; 3.5 s reaches 10 p.u. with margin

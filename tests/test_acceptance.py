@@ -197,7 +197,7 @@ def test_criterion_07_bilevel_descent_comparison():
 def test_criterion_08_bilevel_derivative_oracles():
     problem = cs.bilevel_example_problem()
     d0 = float(np.linalg.norm(ps.total_gradient(problem, [0.0], [0.0])))
-    h0 = ps.reduced_hessian_fd(problem, [0.0])[0, 0]
+    h0 = ps.reduced_hessian_fd(problem, [0.0], [0.0])[0, 0]
     rng = np.random.default_rng(7)
     worst = 0.0
     for a in rng.uniform(-0.55, 0.55, 50):

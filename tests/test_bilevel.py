@@ -89,17 +89,17 @@ def test_total_gradient_singular_hessian_raises():
 
 
 def test_reduced_hessian_example(example):
-    hess = ps.reduced_hessian_fd(example, [0.0])
+    hess = ps.reduced_hessian_fd(example, [0.0], [0.0])
     assert abs(hess[0, 0] - 1.0) <= 1e-3
 
 
 def test_reduced_hessian_quadratic_exact():
-    hess = ps.reduced_hessian_fd(quadratic_problem(), [0.3])
+    hess = ps.reduced_hessian_fd(quadratic_problem(), [0.3], [0.3])
     assert abs(hess[0, 0] - 1.0) <= 1e-9
 
 
 def test_reduced_hessian_without_coupling():
-    hess = ps.reduced_hessian_fd(no_coupling_problem(), [0.2])
+    hess = ps.reduced_hessian_fd(no_coupling_problem(), [0.2], [0.2])
     assert abs(hess[0, 0] - (-np.sin(0.2))) <= 1e-6
 
 
@@ -201,6 +201,11 @@ def test_solve_discrete_validation(example):
             ps.solve_discrete(example, "ps", 0.25, x0)
     with pytest.raises(ValueError, match="tol"):
         ps.solve_discrete(example, "ps", 0.25, [0.4, 0.4], tol=np.nan)
+    with pytest.raises(ValueError, match="tol must be nonnegative, got -1.0"):
+        ps.solve_discrete(example, "ps", 0.25, [0.4, 0.4], tol=-1.0)
+    for eps in (0.5, 1.0):  # eps would be ignored under ps
+        with pytest.raises(ValueError, match=f"ps takes no eps, got {eps}"):
+            ps.solve_discrete(example, "ps", 0.25, [0.4, 0.4], eps=eps)
     with pytest.raises(ValueError, match="max_iter"):
         ps.solve_discrete(example, "ps", 0.25, [0.4, 0.4], max_iter=-5)
 

@@ -161,9 +161,27 @@ def test_rlc_param_validation():
         cs.RlcParams(c=0.0)
     with pytest.raises(ValueError):
         cs.RlcParams(omega=-1.0)
-    for bad in ({"k_pi": np.nan}, {"k_ii": np.inf}, {"l": np.inf}, {"v_ref": (np.nan, 0.0)}):
+    for bad in ({"k_pi": np.nan}, {"k_ii": np.inf}, {"v_ref": (np.nan, 0.0)}):
         with pytest.raises(ValueError, match=next(iter(bad))):
             cs.RlcParams(**bad)
+    for gone in ("r", "l"):  # the modulated voltage cancels R and L
+        with pytest.raises(TypeError):
+            cs.RlcParams(**{gone: 1e-3})
+
+
+def test_every_rlc_param_reaches_the_model():
+    """Perturbing any one field moves the field at a fixed nonzero state or
+    the equilibrium: no parameter is accepted and then ignored."""
+    base = cs.RlcParams()
+    x = np.random.default_rng(3).normal(size=8)
+    field, eq = cs.rlc_stack(base).field(x), cs.rlc_equilibrium(base)
+    for f in dataclasses.fields(cs.RlcParams):
+        value = getattr(base, f.name)
+        moved = dataclasses.replace(
+            base, **{f.name: tuple(1.5 * v + 1.0 for v in value)
+                     if isinstance(value, tuple) else 1.5 * value})
+        assert (not np.array_equal(cs.rlc_stack(moved).field(x), field)
+                or not np.array_equal(cs.rlc_equilibrium(moved), eq)), f.name
 
 
 def test_rlc_low_gain_tier_verdicts():
@@ -276,4 +294,4 @@ def test_bilevel_example_reference_values():
     zero = np.zeros(1)
     assert np.allclose(prob.hess22(zero, zero), [[0.5]], atol=1e-14)
     assert np.allclose(prob.grad_lower_x2(zero, zero), [0.0], atol=0)
-    assert abs(ps.reduced_hessian_fd(prob, [0.0])[0, 0] - 1.0) <= 1e-3
+    assert abs(ps.reduced_hessian_fd(prob, [0.0], [0.0])[0, 0] - 1.0) <= 1e-3

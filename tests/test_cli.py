@@ -382,13 +382,17 @@ def test_bilevel_defaults_are_the_library_defaults(tmp_path):
      "linear stack JSON has unknown keys ['offset']; expected dims, blocks and offsets"),
     (["stability", "--stack", "r2", "--tol", "-1"], "tol must be nonnegative, got -1.0"),
     (["simulate", "--stack", "r2", "--scheme", "approx:noise:-0"],
-     "sigma must be nonnegative and finite, got -0.0")],
+     "sigma must be nonnegative and finite, got -0.0"),
+    (["bilevel", "--tol", "-1", "--iters", "5"], "tol must be nonnegative, got -1.0"),
+    (["bilevel", "--method", "ps", "--eps", "0.5", "--iters", "5"], "ps takes no eps, got 0.5")],
     ids=["empty-gain", "trailing-comma", "empty-epsilon", "empty-point-entry", "empty-point",
-         "empty-x0-entry", "empty-x0", "unknown-stack-key", "negative-tol", "negative-zero-sigma"])
+         "empty-x0-entry", "empty-x0", "unknown-stack-key", "negative-tol", "negative-zero-sigma",
+         "bilevel-negative-tol", "bilevel-ps-eps"])
 def test_input_that_would_be_misread_exits_2(tmp_path, capsys, args, message):
     """Every number typed is read or refused: an empty list entry, an empty
-    ``--x0`` or ``--point``, an unknown stack-file key, a negative ``tol`` and
-    a sigma of -0 exit 2 with one stderr line and no output directory."""
+    ``--x0`` or ``--point``, an unknown stack-file key, a negative ``tol``, a
+    sigma of -0 and an ``--eps`` under ``ps`` exit 2 with one stderr line and
+    no output directory."""
     typo = tmp_path / "offset.json"
     typo.write_text(json.dumps({**R2_CONFIG, "offset": [[0.25], [-1.5]]}))
     args = [str(typo) if a == "OFFSET_TYPO" else a for a in args]

@@ -1,6 +1,8 @@
 """Property tests over random affine stacks (derandomized, so reproducible)."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import tempfile
@@ -15,8 +17,8 @@ from hypothesis import assume, example, given, settings, strategies as st  # noq
 import predsens as ps  # noqa: E402
 from predsens import casestudies, integrate, registry  # noqa: E402
 from predsens.casestudies import bilevel_example_problem  # noqa: E402
-from predsens.cli import (EXIT_CONFIG, EXIT_OK, parse_linear_stack, run,  # noqa: E402
-                          serialize_linear_stack)
+from predsens.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, parse_linear_stack,  # noqa: E402
+                          run, serialize_linear_stack)
 from predsens.conditioning import (compile_scheme, conditioned_jacobian,  # noqa: E402
                                    make_conditioned_field)
 from predsens.model import write_csv  # noqa: E402
@@ -606,6 +608,67 @@ def test_stack_file_simulates_or_exits_2(config):
         code = run(["simulate", "--stack-file", str(path), "--out", str(out)])
         assert code in (EXIT_OK, EXIT_CONFIG)
         assert out.exists() == (code == EXIT_OK)
+
+
+# A number as typed: any float's repr (NaN, the infinities, -0.0, huge and
+# subnormal values among them), a small one, or text no float parses.
+number_text = st.one_of(
+    st.floats().map(repr), st.floats(-1.0, 1.0).map(repr),
+    st.sampled_from(["", "-0", "1e400", "-1e-400", "0x1p-3"]),
+    st.tuples(st.floats(-1.0, 1.0), st.sampled_from(["x", "e", ".5", " 1"])).map(
+        lambda t: repr(t[0]) + t[1]))
+
+MANGLED_BILEVEL_OPTION = {
+    "method": st.sampled_from(["", "PS", "newton"]),
+    "eps": number_text, "tau": number_text, "tol": number_text,
+    "x0": st.one_of(st.lists(number_text, max_size=3).map(",".join),
+                    st.sampled_from(["0.4,,0.4", "0.4,0.4,", ",0.4"])),
+    "iters": st.one_of(st.integers(-2, 5).map(str), st.sampled_from(["", "2.5", "5x"])),
+}
+
+
+@st.composite
+def bilevel_argv(draw):
+    """``predsens bilevel`` options: a run in the grammar, with up to two
+    values replaced from ``MANGLED_BILEVEL_OPTION`` and up to two flags
+    left out; ``--iters`` stays at most 5."""
+    opts = {"method": draw(st.sampled_from(["ps", "gda"])),
+            "tau": repr(draw(st.floats(0.01, 1.0))),
+            "x0": ",".join(repr(draw(st.floats(-0.5, 0.5))) for _ in range(2)),
+            "tol": repr(draw(st.floats(0.0, 1e-3))),
+            "iters": str(draw(st.integers(0, 5)))}
+    if opts["method"] == "gda":
+        opts["eps"] = repr(draw(st.floats(0.1, 2.0)))
+    for flag in draw(st.sets(st.sampled_from(sorted(MANGLED_BILEVEL_OPTION)), max_size=2)):
+        opts[flag] = draw(MANGLED_BILEVEL_OPTION[flag])
+    for flag in draw(st.sets(st.sampled_from(sorted(opts)), max_size=2)):
+        if flag != "iters":
+            del opts[flag]
+    return [f"--{flag}={value}" for flag, value in opts.items()]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(bilevel_argv())
+@example(["--tol=-1", "--iters=5"])
+@example(["--method=ps", "--eps=0.5", "--iters=5"])
+@example(["--x0=0.4,,0.4", "--iters=5"])
+@example(["--tau=0.25x", "--iters=5"])
+@example(["--tau=1e308", "--iters=5"])
+@example(["--x0=1e200,0", "--method=gda", "--eps=5e-324", "--iters=5"])
+@example(["--x0=0,1e200", "--iters=5"])
+def test_bilevel_argv_runs_or_exits_with_one_line(argv):
+    """``predsens bilevel`` exits 0 with its iterates, or exits 2 or 3 with
+    one stderr line and no output directory; no warning is printed."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out, err = Path(tmp) / "out", io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = run(["bilevel", *argv, f"--out={out}"])
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL)
+        assert out.exists() == (code == EXIT_OK)
+        if code == EXIT_OK:
+            assert (out / "iterates.csv").is_file() and err.getvalue() == ""
+        else:
+            assert err.getvalue().endswith("\n") and err.getvalue().count("\n") == 1
 
 
 @settings(derandomize=True, deadline=None, max_examples=50)

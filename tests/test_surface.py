@@ -9,11 +9,9 @@ import pkgutil
 import predsens
 
 KEPT_DEFAULTS = {
-    "bilevel.reduced_hessian_fd.x2_guess",
     "bilevel.solve_discrete.eps",
     "bilevel.solve_discrete.max_iter",
     "bilevel.solve_discrete.tol",
-    "casestudies.run_black_start.settings",
     "cli.run.argv",
     "conditioning.noisy_sensitivity_provider.seed",
     "model.finite_difference_jacobian.step",
