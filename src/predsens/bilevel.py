@@ -66,18 +66,21 @@ def _vec(v, size: int, name: str) -> Vec:
     return arr
 
 
+def _sensitivity(problem: BilevelProblem, x1: Vec, x2: Vec) -> Array:
+    """S = -inv(H22) H21 at vectors already checked by ``_vec``."""
+    return solve_checked(problem.hess22(x1, x2), -problem.hess21(x1, x2), level=1)
+
+
 def sensitivity(problem: BilevelProblem, x1, x2) -> Array:
     """Extended lower-solution sensitivity -inv(H22) H21 at any point."""
-    x1 = _vec(x1, problem.n1, "x1")
-    x2 = _vec(x2, problem.n2, "x2")
-    return solve_checked(problem.hess22(x1, x2), -problem.hess21(x1, x2), level=1)
+    return _sensitivity(problem, _vec(x1, problem.n1, "x1"), _vec(x2, problem.n2, "x2"))
 
 
 def total_gradient(problem: BilevelProblem, x1, x2) -> Vec:
     """Extended total derivative of the upper objective w.r.t. x1."""
     x1 = _vec(x1, problem.n1, "x1")
     x2 = _vec(x2, problem.n2, "x2")
-    s = solve_checked(problem.hess22(x1, x2), -problem.hess21(x1, x2), level=1)
+    s = _sensitivity(problem, x1, x2)
     g1 = np.asarray(problem.grad_upper_x1(x1, x2), dtype=float).reshape(-1)
     g2 = np.asarray(problem.grad_upper_x2(x1, x2), dtype=float).reshape(-1)
     return g1 + s.T @ g2

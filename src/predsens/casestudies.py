@@ -51,8 +51,14 @@ class CascadeParams:
     feedforward: FeedForward = FeedForward.STATE
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name != "feedforward" and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.b1 == 0.0 or self.b2 == 0.0:
             raise ValueError("b1 and b2 must be nonzero (feed-forward divides by b)")
+        if self.ki2 == 0.0:
+            raise ValueError("ki2 must be nonzero (the inner steady state divides by it)")
 
 
 def _outer_reference_law(p: CascadeParams) -> tuple[float, float, float]:

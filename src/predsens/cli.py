@@ -277,19 +277,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    """Run one subcommand. Each returns ``({file name: writer}, summary)``;
-    ``--out`` is made and written only once the subcommand has succeeded."""
+    """Run one subcommand with numpy silenced, so a failure prints one line.
+    Each returns ``({file name: writer}, summary)``; ``--out`` is made and
+    written only once the subcommand has succeeded."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
-        files, summary = args.func(args)
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        for name, write in files.items():
-            write(out / name)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            files, summary = args.func(args)
+            out = Path(args.out)
+            out.mkdir(parents=True, exist_ok=True)
+            for name, write in files.items():
+                write(out / name)
     except NUMERICAL_ERRORS as exc:
         at = f" at t={exc.time:g}" if hasattr(exc, "time") else ""  # set by integrate_ode
         print(f"numerical error{at}: {exc}", file=sys.stderr)

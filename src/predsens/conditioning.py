@@ -206,7 +206,7 @@ def conditioned_field(stack: SystemStack, scheme: Scheme | Conditioner, point) -
     sens = None if cond.sens is None else cond.sens(x)
     out = np.concatenate(_forward_substitute(cond, sens, f_blocks))
     if not np.isfinite(out).all():
-        raise EvaluationError(f"conditioned field is non-finite at {x!r}")
+        raise EvaluationError(f"conditioned field is non-finite at {x.tolist()}")
     return out
 
 
@@ -225,11 +225,11 @@ def make_conditioned_field(stack: SystemStack, scheme: Scheme) -> Callable[[Arra
     ``A_c`` is :func:`conditioned_jacobian` at the origin, where a singular
     diagonal block raises, and ``b_c`` is :func:`conditioning_matrix`'s
     ``apply_inverse`` (S from that Jacobian's table) of ``f(0)``. A non-finite
-    value, by overflow included, raises :class:`EvaluationError` without a
-    warning, so :func:`~predsens.integrate.integrate_ode` refuses such a field
-    at time 0.0, while it builds its step map. The message names no point: the
-    argument may be an RK4 stage point, not a state of the run. Otherwise every
-    call evaluates :func:`conditioned_field` afresh on the scheme compiled once.
+    value raises :class:`EvaluationError`, so :func:`~predsens.integrate.integrate_ode`,
+    whose ``np.errstate`` silences the overflow, refuses such a field at time
+    0.0, while it builds its step map. The message names no point: the argument
+    may be an RK4 stage point, not a state of the run. Otherwise every call
+    evaluates :func:`conditioned_field` afresh on the scheme compiled once.
     """
     cond = compile_scheme(stack, scheme)
     if not is_affine(stack, cond):
@@ -241,8 +241,7 @@ def make_conditioned_field(stack: SystemStack, scheme: Scheme) -> Callable[[Arra
     b_c = conditioning_matrix(stack, cond, origin)[1](stack.field(origin))
 
     def field(x: Array) -> Array:
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = a_c @ x + b_c
+        out = a_c @ x + b_c
         if not np.isfinite(out).all():
             raise EvaluationError("conditioned field is non-finite")
         return out

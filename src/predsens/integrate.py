@@ -92,11 +92,9 @@ def _rk4_step(f, x: Array, dt: float) -> Array:
 
 def _step_map(f, step, dt: float, dim: int) -> tuple[Array, Array]:
     """``(P, q)`` with ``step(f, x, dt) == P @ x + q`` for an affine ``f``,
-    built from ``dim + 1`` steps of ``f`` itself; a non-finite entry raises
-    :class:`EvaluationError`."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        q = step(f, np.zeros(dim), dt)
-        p = np.column_stack([step(f, unit, dt) - q for unit in np.eye(dim)])
+    built from ``dim + 1`` steps of ``f``; a non-finite entry raises :class:`EvaluationError`."""
+    q = step(f, np.zeros(dim), dt)
+    p = np.column_stack([step(f, unit, dt) - q for unit in np.eye(dim)])
     if not (np.isfinite(p).all() and np.isfinite(q).all()):
         raise EvaluationError(f"affine step map is non-finite at dt={dt}")
     return p, q
@@ -104,14 +102,15 @@ def _step_map(f, step, dt: float, dim: int) -> tuple[Array, Array]:
 
 def integrate_ode(stack: SystemStack, scheme: Scheme, x0,
                   settings: IntegrationSettings) -> Trajectory:
-    """Integrate the conditioned field from ``x0`` on a fixed grid.
+    """Integrate the conditioned field from ``x0`` on a fixed grid, under one
+    ``np.errstate`` that keeps numpy silent from the compile to the last step.
 
     Stops early (diverged=True) once any state exceeds the divergence
     threshold or ``OVERFLOW_LIMIT`` in max-norm, or turns non-finite. Scheme
-    evaluation failures propagate with the failing time attached as
-    ``exc.time``: the time of the step that met them, or 0.0 for one met
-    before the first step, such as a singular diagonal block or a
-    non-finite value found while compiling the field or its step map.
+    evaluation failures, non-finite field values included, carry the failing
+    time as ``exc.time``: that of the step that met them, or 0.0 before the
+    first step (a singular diagonal block, or a non-finite value met while
+    compiling the field or its step map).
 
     When the conditioned field is affine (:func:`~predsens.conditioning.is_affine`)
     one step is the affine map ``x -> P x + q``, built once from the field and
@@ -142,31 +141,31 @@ def integrate_ode(stack: SystemStack, scheme: Scheme, x0,
     count = 0  # rows written; a failure before the first step is at time 0.0
     diverged_at = None
     try:
-        cond = conditioning.compile_scheme(stack, scheme)  # the one compile of this run
-        f = make_conditioned_field(stack, cond)
-        affine = is_affine(stack, cond)
-        if affine:
-            p, q = _step_map(f, step, dt, x.size)
-            dot = p.dot
-        count = 1
-        while count < rows and diverged_at is None:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            cond = conditioning.compile_scheme(stack, scheme)  # the one compile of this run
+            f = make_conditioned_field(stack, cond)
+            affine = is_affine(stack, cond)
             if affine:
-                end = min(rows, count + AFFINE_BLOCK_ROWS)
-                # rows after the one that ends a run may overflow; they are dropped
-                with np.errstate(over="ignore", invalid="ignore"):
+                p, q = _step_map(f, step, dt, x.size)
+                dot = p.dot
+            count = 1
+            while count < rows and diverged_at is None:
+                if affine:
+                    end = min(rows, count + AFFINE_BLOCK_ROWS)
+                    # rows after the one that ends a run may overflow; they are dropped
                     for prev, row in zip(states[count - 1:end - 1], states[count:end]):
                         dot(prev, out=row)
                         row += q
-            else:
-                end = count + 1
-                x = states[count] = step(f, x, dt)
-            sizes = np.abs(states[count:end]).max(axis=1)
-            past = np.flatnonzero(~(sizes <= limit))  # NaN is past too
-            if past.size:
-                cut = count + int(past[0])
-                diverged_at = cut * dt
-                end = cut + 1 if sizes[past[0]] < np.inf else cut
-            count = end
+                else:
+                    end = count + 1
+                    x = states[count] = step(f, x, dt)
+                sizes = np.abs(states[count:end]).max(axis=1)
+                past = np.flatnonzero(~(sizes <= limit))  # NaN is past too
+                if past.size:
+                    cut = count + int(past[0])
+                    diverged_at = cut * dt
+                    end = cut + 1 if sizes[past[0]] < np.inf else cut
+                count = end
     except _EVALUATION_ERRORS as exc:
         exc.time = count * dt  # type: ignore[attr-defined]
         raise

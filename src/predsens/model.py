@@ -142,7 +142,7 @@ def finite_difference_jacobian(field: FieldFn, point, step: float = DEFAULT_FD_S
     x = np.asarray(point, dtype=float).reshape(-1)
     base = np.asarray(field(x), dtype=float).reshape(-1)
     if not np.all(np.isfinite(base)):
-        raise EvaluationError(f"field returned non-finite values at {x!r}")
+        raise EvaluationError(f"field returned non-finite values at {x.tolist()}")
     jac = np.empty((base.size, x.size))
     for k in range(x.size):
         h = step * (1.0 + abs(x[k]))
@@ -153,7 +153,7 @@ def finite_difference_jacobian(field: FieldFn, point, step: float = DEFAULT_FD_S
         fp = np.asarray(field(xp), dtype=float).reshape(-1)
         fm = np.asarray(field(xm), dtype=float).reshape(-1)
         if not (np.all(np.isfinite(fp)) and np.all(np.isfinite(fm))):
-            raise EvaluationError(f"field returned non-finite values near {x!r}")
+            raise EvaluationError(f"field returned non-finite values near {x.tolist()}")
         jac[:, k] = (fp - fm) / (2.0 * h)
     return jac
 

@@ -43,6 +43,12 @@ def test_cascade_zero_integral_gain_drops_sensitivity_entry():
 def test_cascade_params_validation():
     with pytest.raises(ValueError):
         cs.CascadeParams(b1=0.0)
+    with pytest.raises(ValueError, match="ki2 must be nonzero"):
+        cs.CascadeParams(ki2=0.0)
+    for name in ("a1", "b2", "kp2", "ki1"):
+        for value in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+                cs.CascadeParams(**{name: value})
 
 
 def test_cascade_similarity_for_random_gains():

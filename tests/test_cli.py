@@ -192,7 +192,9 @@ def test_config_errors_exit_2(tmp_path, capsys):
             (["bilevel", "--x0", "nan,0"], "x0"),
             (["bilevel", "--tol", "nan", "--x0", "0.4,0.4"], "tol"),
             (["rlc", "--kpi", "nan", "--t-end", "0.001"], "k_pi"),
-            (["rlc", "--kpi", "inf", "--t-end", "0.001"], "k_pi")):
+            (["rlc", "--kpi", "inf", "--t-end", "0.001"], "k_pi"),
+            (["cascade", "--kp2", "inf"], "kp2 must be finite, got inf"),
+            (["cascade", "--a1", "nan"], "a1 must be finite, got nan")):
         assert run([*args, "--out", str(tmp_path / "nonfinite")]) == EXIT_CONFIG, args
         err = capsys.readouterr().err
         assert named in err, (args, err)

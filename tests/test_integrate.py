@@ -274,6 +274,21 @@ def test_singular_block_found_while_compiling_is_reported_at_time_zero(
     assert err.value.time == 0.0
 
 
+@pytest.mark.parametrize("scheme, x0", [
+    (ps.Plain(), [1e200, 0.0]),
+    (ps.SingularPerturbation([1.0, 1e-300]), [2.0, 2.0])], ids=["huge-start", "tiny-eps"])
+def test_per_call_run_that_leaves_the_float_range_raises_without_a_warning(scheme, x0):
+    """A per-call run is under the run's ``np.errstate`` too: an RK4 stage
+    that overflows on ``bilevel-example`` ends the run with the failing step's
+    time, and numpy warns of nothing."""
+    stack = registry.get_stack("bilevel-example")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ps.SingularMatrixError) as err:
+            ps.integrate_ode(stack, scheme, x0, ps.IntegrationSettings("rk4", 1e-3, 0.01))
+    assert err.value.time == 1e-3
+
+
 @pytest.mark.parametrize("method", ["euler", "rk4"])
 def test_field_writing_into_its_argument_leaves_stored_rows(method):
     """A per-call run steps from the array the previous step returned, so a

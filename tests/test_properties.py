@@ -17,8 +17,8 @@ from hypothesis import assume, example, given, settings, strategies as st  # noq
 import predsens as ps  # noqa: E402
 from predsens import casestudies, integrate, registry  # noqa: E402
 from predsens.casestudies import bilevel_example_problem  # noqa: E402
-from predsens.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, parse_linear_stack,  # noqa: E402
-                          run, serialize_linear_stack)
+from predsens.cli import (CASCADE_FLAGS, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK,  # noqa: E402
+                          parse_linear_stack, run, serialize_linear_stack)
 from predsens.conditioning import (compile_scheme, conditioned_jacobian,  # noqa: E402
                                    make_conditioned_field)
 from predsens.model import write_csv  # noqa: E402
@@ -627,6 +627,16 @@ MANGLED_BILEVEL_OPTION = {
 }
 
 
+def _options(draw, opts: dict, mangled: dict, optional) -> list[str]:
+    """``--flag=value`` for ``opts``, with up to two values replaced from
+    ``mangled`` and up to two ``optional`` flags left out."""
+    for flag in draw(st.sets(st.sampled_from(sorted(mangled)), max_size=2)):
+        opts[flag] = draw(mangled[flag])
+    for flag in draw(st.sets(st.sampled_from(sorted(optional)), max_size=2)):
+        opts.pop(flag, None)
+    return [f"--{flag}={value}" for flag, value in opts.items()]
+
+
 @st.composite
 def bilevel_argv(draw):
     """``predsens bilevel`` options: a run in the grammar, with up to two
@@ -639,12 +649,8 @@ def bilevel_argv(draw):
             "iters": str(draw(st.integers(0, 5)))}
     if opts["method"] == "gda":
         opts["eps"] = repr(draw(st.floats(0.1, 2.0)))
-    for flag in draw(st.sets(st.sampled_from(sorted(MANGLED_BILEVEL_OPTION)), max_size=2)):
-        opts[flag] = draw(MANGLED_BILEVEL_OPTION[flag])
-    for flag in draw(st.sets(st.sampled_from(sorted(opts)), max_size=2)):
-        if flag != "iters":
-            del opts[flag]
-    return [f"--{flag}={value}" for flag, value in opts.items()]
+    optional = ("method", "tau", "x0", "tol", "eps")
+    return _options(draw, opts, MANGLED_BILEVEL_OPTION, optional)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -669,6 +675,168 @@ def test_bilevel_argv_runs_or_exits_with_one_line(argv):
             assert (out / "iterates.csv").is_file() and err.getvalue() == ""
         else:
             assert err.getvalue().endswith("\n") and err.getvalue().count("\n") == 1
+
+
+# Numbers past the grammar beside ``number_text``: signed zeros, the
+# non-finite values, 1e±300 and subnormals.
+mangled_number = number_text | st.sampled_from(
+    ["0", "-0.0", "nan", "inf", "-inf", "1e300", "-1e300", "1e-300", "1e-320", "-1e-320"])
+# A step or a horizon past the grammar: beside an accepted other, each is
+# refused or asks for a grid over ``MAX_STATE_BYTES``, so no run is long.
+mangled_time = st.sampled_from(
+    ["", "-0", "0", "-1", "nan", "inf", "1e300", "1e-300", "1e-320", "1e400", "0.01x", "0x1p-3"])
+mangled_scheme = st.sampled_from(
+    ["", "Plain", "predsens:1", "approx", "approx:noise:", "approx:noise:-0", "approx:frozen:x",
+     "singular:", "singular:,0.5", "precond:", "precond:1,,2", "precond:1,2,"])
+MISSPELT_KEYS = {"dims": ["dim", "Dims"], "blocks": ["block", "Blocks"],
+                 "offsets": ["offset", "Offsets"]}
+#: Stands for the path of the drawn stack file in a drawn argv.
+STACK_FILE = "<stack file>"
+BUILTIN_SIZES = {name: (stack.total_dim, len(stack)) for name in registry.BUILTIN_STACKS
+                 for stack in [registry.get_stack(name)]}
+
+
+def mangled_list(size: int):
+    """Comma-separated numbers past the grammar, of about ``size`` entries."""
+    return (st.lists(mangled_number, min_size=max(size - 1, 0), max_size=size + 1).map(",".join)
+            | st.sampled_from(["", ",", "0,,0", "0,0,"]))
+
+
+def numbers_text(size: int):
+    return st.lists(st.floats(-2.0, 2.0), min_size=size, max_size=size).map(
+        lambda xs: ",".join(map(repr, xs)))
+
+
+@st.composite
+def scheme_text(draw, levels: int):
+    """A scheme in the grammar for ``levels`` levels, with at most one of its
+    numbers replaced by a ``mangled_number``, or a token past the grammar."""
+    kind = draw(st.sampled_from(["plain", "predsens", "approx:frozen", "singular", "precond",
+                                 "approx:noise", "mangled"]))
+    if kind == "mangled":
+        return draw(mangled_scheme)
+    if kind in ("plain", "predsens", "approx:frozen"):
+        return kind
+    if kind == "singular":
+        numbers = sorted(draw(st.lists(st.floats(0.05, 1.0), min_size=levels - 1,
+                                       max_size=levels - 1)), reverse=True)
+    elif kind == "precond":
+        numbers = draw(st.lists(st.floats(0.5, 3.0), min_size=levels, max_size=levels))
+    else:
+        numbers = [draw(st.floats(0.0, 0.1))]
+    numbers = [repr(v) for v in numbers]
+    if numbers and draw(st.booleans()):
+        numbers[draw(st.integers(0, len(numbers) - 1))] = draw(mangled_number)
+    return f"{kind}:{','.join(numbers)}"
+
+
+@st.composite
+def stack_args(draw):
+    """``(argv, config, size, levels)``: ``--stack`` with a builtin name, or
+    ``--stack-file`` with a ``stack_config``, one of whose keys may be misspelt."""
+    if draw(st.integers(0, 3)):
+        name = draw(st.sampled_from(sorted(registry.BUILTIN_STACKS)))
+        return ["--stack", name], None, *BUILTIN_SIZES[name]
+    config = draw(stack_config())
+    dims = config.get("dims")
+    size = sum(dims) if isinstance(dims, list) and all(type(d) is int for d in dims) else 2
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(config)))
+        config[draw(st.sampled_from(MISSPELT_KEYS[key]))] = config.pop(key)
+    return ["--stack-file", STACK_FILE], config, size, 2
+
+
+@st.composite
+def simulate_argv(draw):
+    """``predsens simulate`` with at most 20 steps unless a time is mangled."""
+    args, config, size, levels = draw(stack_args())
+    dt = draw(st.sampled_from([0.01, 0.05, 0.1]))
+    opts = {"scheme": draw(scheme_text(levels)), "x0": draw(numbers_text(size)),
+            "method": draw(st.sampled_from(["euler", "rk4"])), "dt": repr(dt),
+            "t-end": repr(draw(st.integers(1, 20)) * dt),
+            "divergence-threshold": repr(draw(st.floats(1.0, 1e6)))}
+    mangled = {"scheme": mangled_scheme, "x0": mangled_list(size),
+               "method": st.sampled_from(["", "RK4", "heun"]), "dt": mangled_time,
+               "t-end": mangled_time, "divergence-threshold": mangled_number}
+    optional = ("scheme", "x0", "method", "divergence-threshold")
+    return ["simulate", *args, *_options(draw, opts, mangled, optional)], config
+
+
+@st.composite
+def stability_argv(draw):
+    args, config, size, levels = draw(stack_args())
+    opts = {"scheme": draw(scheme_text(levels)), "point": draw(numbers_text(size)),
+            "tol": repr(draw(st.floats(0.0, 1e-3)))}
+    mangled = {"scheme": mangled_scheme, "point": mangled_list(size), "tol": mangled_number}
+    return ["stability", *args, *_options(draw, opts, mangled, opts)], config
+
+
+@st.composite
+def cascade_argv(draw):
+    opts = {name: repr(draw(st.floats(-3.0, 3.0))) for name in CASCADE_FLAGS}
+    mangled = dict.fromkeys(CASCADE_FLAGS, mangled_number)
+    return ["cascade", *_options(draw, opts, mangled, CASCADE_FLAGS)], None
+
+
+@st.composite
+def rlc_argv(draw):
+    """``predsens rlc`` with at most 20 steps unless a time is mangled."""
+    dt = draw(st.sampled_from([1e-5, 1e-4, 1e-3]))
+    opts = {"kpi": repr(draw(st.floats(1.0, 100.0))), "kii": repr(draw(st.floats(1.0, 200.0))),
+            "scheme": draw(scheme_text(2)), "dt": repr(dt),
+            "t-end": repr(draw(st.integers(1, 20)) * dt)}
+    mangled = {"kpi": mangled_number, "kii": mangled_number, "scheme": mangled_scheme,
+               "dt": mangled_time, "t-end": mangled_time}
+    return ["rlc", *_options(draw, opts, mangled, ("kpi", "kii", "scheme"))], None
+
+
+R2_OFFSET_TYPO = {"dims": [1, 1], "blocks": [[[[1]], [[-2]]], [[[0.5]], [[-0.5]]]],
+                  "offset": [[0.25], [-1.5]]}
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.one_of(simulate_argv(), stability_argv(), cascade_argv(), rlc_argv()))
+# numpy warnings and a multi-line message before the one stderr line
+@example((["simulate", "--stack", "bilevel-example", "--x0", "1e200,0", "--t-end", "1"], None))
+@example((["simulate", "--stack", "bilevel-example", "--scheme", "singular:1e-300",
+           "--t-end", "0.01"], None))
+@example((["rlc", "--dt", "1e-5", "--t-end", "0.00001", "--scheme", "approx:noise:1e300"], None))
+@example((["stability", "--stack", "cascade", "--point", "1e200,0,0,0"], None))
+@example((["stability", "--stack", "rlc", "--point", "1e200,0,0,0,0,0,0,0"], None))
+@example((["stability", "--stack", "bilevel-example", "--point", "1e200,0"], None))
+@example((["cascade", "--b1", "1e-320"], None))
+@example((["cascade", "--kp2", "inf"], None))
+@example((["cascade", "--ki2", "0"], None))  # a ZeroDivisionError traceback
+# input once misread, each refused now
+@example((["simulate", "--stack", "r2", "--dt", "1e-300", "--t-end", "1"], None))
+@example((["stability", "--stack", "r2", "--scheme", "precond:1,,2"], None))
+@example((["stability", "--stack", "r2", "--scheme", "precond:1,2,"], None))
+@example((["stability", "--stack", "r2", "--scheme", "singular:,0.5"], None))
+@example((["stability", "--stack", "r2", "--point", "0,,0"], None))
+@example((["stability", "--stack", "r2", "--point", ""], None))
+@example((["simulate", "--stack", "r2", "--x0", ""], None))
+@example((["simulate", "--stack-file", STACK_FILE], R2_OFFSET_TYPO))
+@example((["stability", "--stack", "r2", "--tol", "-1"], None))
+@example((["simulate", "--stack", "bilevel-example", "--scheme", "approx:noise:-0"], None))
+def test_argv_runs_or_exits_with_one_line(case):
+    """``predsens simulate``, ``stability``, ``cascade`` and ``rlc`` exit 0
+    with their files, or exit 2 or 3 with one stderr line and no output
+    directory; no warning is printed."""
+    argv, config = case
+    with tempfile.TemporaryDirectory() as tmp:
+        out, err, path = Path(tmp) / "out", io.StringIO(), Path(tmp) / "stack.json"
+        if config is not None:
+            path.write_text(json.dumps(config))
+        argv = [str(path) if arg == STACK_FILE else arg for arg in argv]
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = run([*argv, f"--out={out}"])
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL)
+        assert out.exists() == (code == EXIT_OK)
+        text = err.getvalue()
+        if code == EXIT_OK:
+            assert text == ""
+        else:
+            assert text.endswith("\n") and text.count("\n") == 1 and "Warning" not in text
 
 
 @settings(derandomize=True, deadline=None, max_examples=50)
